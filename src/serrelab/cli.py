@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -175,9 +176,14 @@ def cmd_converge(args) -> int:
     if args.exclude_window:
         exclude = parse_window(args.exclude_window)
     os.makedirs(manifest.out_dir, exist_ok=True)
-    with open(args.manifest) as src, \
-            open(os.path.join(manifest.out_dir, "manifest.txt"), "w") as dst:
-        dst.write(src.read())
+    with open(args.manifest) as fh:
+        text = fh.read()
+    if args.scheme:
+        # record the scheme that runs, not the one the manifest names
+        text = re.sub(r"(?m)^\s*scheme\s*=.*$", f"scheme = {args.scheme}",
+                      text)
+    with open(os.path.join(manifest.out_dir, "manifest.txt"), "w") as fh:
+        fh.write(text)
 
     cells = [(alpha, level) for alpha in manifest.alphas
              for level in manifest.levels]

@@ -128,6 +128,9 @@ class State:
     u_prev: np.ndarray
     t: float = 0.0
     step: int = 0
+    # the stepper's work arrays (solvers.Workspace): made by the first
+    # step, dropped by solvers.simulate when its run ends
+    work: object = field(default=None, repr=False, compare=False)
 
     def interior(self, arr: np.ndarray) -> np.ndarray:
         return arr[self.grid.interior]

@@ -59,9 +59,10 @@ def list_snapshots(run_dir):
 def write_step_reports(path, reports) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "t", "min_h", "max_abs_u"])
+        writer.writerow(["step", "t", "min_h", "max_abs_u", "diag_dominant"])
         for r in reports:
-            writer.writerow([r.step, fmt(r.t), fmt(r.min_h), fmt(r.max_abs_u)])
+            writer.writerow([r.step, fmt(r.t), fmt(r.min_h), fmt(r.max_abs_u),
+                             int(r.diag_dominant)])
 
 
 DIAGNOSTICS_COLUMNS = ["t", "C_star_h", "C_star_uh", "C_star_H",

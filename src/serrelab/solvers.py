@@ -6,6 +6,11 @@ scheme E pairs it with a two-step Lax-Wendroff mass update that consumes
 the freshly computed velocity.  No limiter, filtering or artificial
 viscosity anywhere: the schemes' intrinsic dispersive/diffusive character
 is the point.
+
+A step allocates no array-sized temporaries: every term is written with
+`out=` ufuncs into a Workspace owned by the State, in the same order of
+operations as the formulas in the docstrings, so the results are
+bit-identical to evaluating those formulas directly.
 """
 from __future__ import annotations
 
@@ -13,13 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import SimConfig, Snapshot, State, apply_dirichlet, take_snapshot
 
 
 class SolverError(RuntimeError):
-    """Fatal stepping failure (positivity loss, non-finite values)."""
+    """Fatal stepping failure (positivity loss, non-finite values,
+    singular momentum system)."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
@@ -36,7 +42,42 @@ class StepReport:
     shortened: bool = False
 
 
-def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng):
+class Workspace:
+    """Preallocated work arrays of one grid.
+
+    Interior-length rows hold the centred stencils, the assembly terms,
+    two scratch rows (a, b), the tridiagonal system and the new depths;
+    face-length rows hold the Lax-Wendroff half-step quantities; u_full is
+    the zero-ghost copy of the new velocities that scheme E reads.  The
+    rows share one block, so that releasing the workspace returns it to
+    the system whole instead of leaving holes in the heap.
+    """
+
+    def __init__(self, n_cells: int, ghost_layers: int):
+        rows = np.zeros((19, n_cells + 2 * ghost_layers))
+        (self.ux, self.hx, self.uxx, self.uxxx, self.h2, self.h3, self.h2hx,
+         self.h3_3, self.a, self.b, self.sub, self.diag, self.sup, self.rhs,
+         self.h_next) = rows[:15, :n_cells]
+        self.face_h, self.face_flux, self.face_tmp = rows[15:18, :n_cells + 1]
+        self.u_full = rows[18]
+        self.mask = np.empty(n_cells, dtype=bool)
+
+
+def _workspace(state: State) -> Workspace:
+    """The state's work arrays, made on first use."""
+    if state.work is None:
+        state.work = Workspace(state.grid.n_cells, state.grid.ghost_layers)
+    return state.work
+
+
+def _product(out, p, q, r):
+    """out = (p * q) * r."""
+    np.multiply(p, q, out=out)
+    out *= r
+    return out
+
+
+def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work=None):
     """Tridiagonal system for the new interior velocities.
 
     The implicit operator is the centred discretisation of
@@ -47,7 +88,12 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng):
     with Y built from the current and previous levels and all spatial
     derivatives second-order centred.  The velocity stencil reaches
     i +- 2, hence the two ghost layers.
+
+    Returns (sub, diag, sup, rhs) as rows of `work`; a fresh Workspace is
+    made when none is given.
     """
+    if work is None:
+        work = Workspace(len(h) - 2 * ng, ng)
     c = slice(ng, -ng)
     hp = h[ng + 1:-ng + 1]
     hm = h[ng - 1:-ng - 1]
@@ -57,83 +103,160 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng):
     umm = u[ng - 2:-ng - 2]
     hc = h[c]
     uc = u[c]
-
-    ux = (up - um) / (2.0 * dx)
-    hx = (hp - hm) / (2.0 * dx)
-    uxx = (up - 2.0 * uc + um) / dx ** 2
-    uxxx = (upp - 2.0 * up + 2.0 * um - umm) / (2.0 * dx ** 3)
-    h2 = hc * hc
-    h3 = h2 * hc
-    h2hx = h2 * hx
-
-    x_term = (uc * hc * ux + g * hc * hx + h2hx * ux * ux
-              + (h3 / 3.0) * ux * uxx - h2hx * uc * uxx
-              - (h3 / 3.0) * uc * uxxx)
-
     upc = u_prev[c]
     upp1 = u_prev[ng + 1:-ng + 1]
     upm1 = u_prev[ng - 1:-ng - 1]
-    y = (2.0 * dt * x_term - hc * upc
-         + h2hx * (upp1 - upm1) / (2.0 * dx)
-         + (h3 / 3.0) * (upp1 - 2.0 * upc + upm1) / dx ** 2)
+    ux, hx, uxx, uxxx = work.ux, work.hx, work.uxx, work.uxxx
+    h2, h3, h2hx, h3_3 = work.h2, work.h3, work.h2hx, work.h3_3
+    a, b = work.a, work.b
+    sub, diag, sup, rhs = work.sub, work.diag, work.sup, work.rhs
 
-    sub = h2hx / (2.0 * dx) - h3 / (3.0 * dx ** 2)
-    diag = hc + 2.0 * h3 / (3.0 * dx ** 2)
-    sup = -h2hx / (2.0 * dx) - h3 / (3.0 * dx ** 2)
-    rhs = -y
+    # ux = (up - um) / (2 dx);  hx = (hp - hm) / (2 dx)
+    np.subtract(up, um, out=ux)
+    ux /= 2.0 * dx
+    np.subtract(hp, hm, out=hx)
+    hx /= 2.0 * dx
+    # uxx = (up - 2 uc + um) / dx^2
+    np.multiply(uc, 2.0, out=uxx)
+    np.subtract(up, uxx, out=uxx)
+    uxx += um
+    uxx /= dx ** 2
+    # uxxx = (upp - 2 up + 2 um - umm) / (2 dx^3)
+    np.multiply(up, 2.0, out=uxxx)
+    np.subtract(upp, uxxx, out=uxxx)
+    uxxx += np.multiply(um, 2.0, out=a)
+    uxxx -= umm
+    uxxx /= 2.0 * dx ** 3
+    np.multiply(hc, hc, out=h2)
+    np.multiply(h2, hc, out=h3)
+    np.multiply(h2, hx, out=h2hx)
+    np.divide(h3, 3.0, out=h3_3)
+
+    # x_term = uc hc ux + g hc hx + h2hx ux ux + (h3/3) ux uxx
+    #          - h2hx uc uxx - (h3/3) uc uxxx, built in rhs
+    x_term = _product(rhs, uc, hc, ux)
+    x_term += _product(a, hc, g, hx)
+    x_term += _product(a, h2hx, ux, ux)
+    x_term += _product(a, h3_3, ux, uxx)
+    x_term -= _product(a, h2hx, uc, uxx)
+    x_term -= _product(a, h3_3, uc, uxxx)
+
+    # y = 2 dt x_term - hc upc + h2hx (upp1 - upm1) / (2 dx)
+    #     + (h3/3) (upp1 - 2 upc + upm1) / dx^2, also built in rhs
+    y = x_term
+    y *= 2.0 * dt
+    y -= np.multiply(hc, upc, out=a)
+    np.subtract(upp1, upm1, out=a)
+    a *= h2hx
+    a /= 2.0 * dx
+    y += a
+    np.multiply(upc, 2.0, out=a)
+    np.subtract(upp1, a, out=a)
+    a += upm1
+    a *= h3_3
+    a /= dx ** 2
+    y += a
+
+    # sub = p - q, sup = -p - q, diag = hc + 2 h3 / (3 dx^2) with
+    # p = h2hx / (2 dx) and q = h3 / (3 dx^2)
+    p = np.divide(h2hx, 2.0 * dx, out=a)
+    q = np.divide(h3, 3.0 * dx ** 2, out=b)
+    np.subtract(p, q, out=sub)
+    np.negative(p, out=sup)
+    sup -= q
+    np.multiply(h3, 2.0, out=diag)
+    diag /= 3.0 * dx ** 2
+    diag += hc
+    np.negative(y, out=rhs)
     # fold the Dirichlet ghost velocities (zero) into the right-hand side
     rhs[0] -= sub[0] * u[ng - 1]
     rhs[-1] -= sup[-1] * u[-ng]
     return sub, diag, sup, rhs
 
 
-def solve_tridiagonal(sub, diag, sup, rhs):
-    n = len(rhs)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+def solve_tridiagonal(sub, diag, sup, rhs, overwrite=False):
+    """Solve sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i].
+
+    LAPACK dgtsv: Gaussian elimination with partial pivoting.  sub[0] and
+    sup[-1] lie outside the matrix and are ignored.  With overwrite=True
+    the four arrays are destroyed and the solution is written into rhs;
+    otherwise they are left intact and the solution is a new array.  An
+    exactly singular matrix (a zero pivot) raises SolverError.
+    """
+    _, _, _, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs,
+                             overwrite_dl=overwrite, overwrite_d=overwrite,
+                             overwrite_du=overwrite, overwrite_b=overwrite)
+    if info != 0:
+        raise SolverError(f"singular tridiagonal system (dgtsv info = {info})")
+    return x
 
 
-def momentum_update(state: State, config: SimConfig, dt: float | None = None):
+def momentum_update(state: State, config: SimConfig, dt: float | None = None,
+                    work: Workspace | None = None):
     """New interior velocities by direct tridiagonal elimination.
 
-    Returns (u_next, diag_dominant).  Strict diagonal dominance holds for
-    h > 0 on any dx < 2h/3; it is still checked numerically per solve.
+    Returns (u_next, diag_dominant); u_next is a row of `work`, a fresh
+    Workspace when none is given.  Row i is strictly diagonally dominant
+    iff h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
+    break this, so it is checked on every solve, and the solve pivots.
     """
     if dt is None:
         dt = config.dt
     ng = state.grid.ghost_layers
+    if work is None:
+        work = Workspace(state.grid.n_cells, ng)
     sub, diag, sup, rhs = assemble_momentum_system(
-        state.h, state.u, state.u_prev, state.grid.dx, dt, config.g, ng)
-    dominant = bool(np.all(np.abs(diag) > np.abs(sub) + np.abs(sup)))
-    u_next = solve_tridiagonal(sub, diag, sup, rhs)
-    if not np.all(np.isfinite(u_next)):
+        state.h, state.u, state.u_prev, state.grid.dx, dt, config.g, ng,
+        work=work)
+    # |diag| > |sub| + |sup| on every row, before the solve overwrites them
+    off = np.abs(sub, out=work.a)
+    off += np.abs(sup, out=work.b)
+    dominant = bool(np.greater(np.abs(diag, out=work.b), off,
+                               out=work.mask).all())
+    try:
+        u_next = solve_tridiagonal(sub, diag, sup, rhs, overwrite=True)
+    except SolverError as exc:
+        exc.step = state.step
+        raise
+    if not np.isfinite(u_next, out=work.mask).all():
         raise SolverError("non-finite velocity after momentum solve",
                           step=state.step)
     return u_next, dominant
 
 
 def mass_update_leapfrog(state: State, config: SimConfig,
-                         dt: float | None = None):
-    """Centred mass update advancing from the previous level."""
+                         dt: float | None = None,
+                         work: Workspace | None = None):
+    """Centred mass update advancing from the previous level:
+    h_prev - dt (u (hp - hm) / dx + h (up - um) / dx), into work.h_next.
+    """
     if dt is None:
         dt = config.dt
     ng = state.grid.ghost_layers
+    if work is None:
+        work = Workspace(state.grid.n_cells, ng)
     dx = state.grid.dx
     c = slice(ng, -ng)
     hp = state.h[ng + 1:-ng + 1]
     hm = state.h[ng - 1:-ng - 1]
     up = state.u[ng + 1:-ng + 1]
     um = state.u[ng - 1:-ng - 1]
-    return state.h_prev[c] - dt * (state.u[c] * (hp - hm) / dx
-                                   + state.h[c] * (up - um) / dx)
+    a, b = work.a, work.b
+    np.subtract(hp, hm, out=a)
+    a *= state.u[c]
+    a /= dx
+    np.subtract(up, um, out=b)
+    b *= state.h[c]
+    b /= dx
+    a += b
+    a *= dt
+    return np.subtract(state.h_prev[c], a, out=work.h_next)
 
 
 def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig,
-                             dt: float | None = None):
-    """Two-step Lax-Wendroff mass update.
+                             dt: float | None = None,
+                             work: Workspace | None = None):
+    """Two-step Lax-Wendroff mass update, into work.h_next.
 
     Half-step depths come from the current level; half-step velocities are
     the four-point space-time average using the already-computed new
@@ -142,18 +265,34 @@ def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig,
     if dt is None:
         dt = config.dt
     ng = state.grid.ghost_layers
+    if work is None:
+        work = Workspace(state.grid.n_cells, ng)
     dx = state.grid.dx
     h = state.h
     u = state.u
     un1 = u_next_full
     lam = dt / (2.0 * dx)
-    # half-step depth at every interior face i+1/2, i = ng-1 .. n+ng-1
-    hf = 0.5 * (h[ng:-ng + 1] + h[ng - 1:-ng]) - lam * (
-        u[ng:-ng + 1] * h[ng:-ng + 1] - h[ng - 1:-ng] * u[ng - 1:-ng])
-    uf = 0.25 * (un1[ng:-ng + 1] + u[ng:-ng + 1]
-                 + un1[ng - 1:-ng] + u[ng - 1:-ng])
-    flux = uf * hf
-    return h[ng:-ng] - (dt / dx) * (flux[1:] - flux[:-1])
+    # faces i+1/2, i = ng-1 .. n+ng-1: right (R) and left (L) neighbours
+    h_r, h_l = h[ng:-ng + 1], h[ng - 1:-ng]
+    u_r, u_l = u[ng:-ng + 1], u[ng - 1:-ng]
+    hf, flux, tmp = work.face_h, work.face_flux, work.face_tmp
+    # half-step depth hf = (h_r + h_l) / 2 - lam (u_r h_r - h_l u_l)
+    np.add(h_r, h_l, out=hf)
+    hf *= 0.5
+    np.multiply(u_r, h_r, out=flux)
+    flux -= np.multiply(h_l, u_l, out=tmp)
+    flux *= lam
+    hf -= flux
+    # half-step velocity (un1_r + u_r + un1_l + u_l) / 4, times hf
+    np.add(un1[ng:-ng + 1], u_r, out=flux)
+    flux += un1[ng - 1:-ng]
+    flux += u_l
+    flux *= 0.25
+    flux *= hf
+    # h - (dt / dx) (flux_{i+1/2} - flux_{i-1/2})
+    diff = np.subtract(flux[1:], flux[:-1], out=work.a)
+    diff *= dt / dx
+    return np.subtract(h[ng:-ng], diff, out=work.h_next)
 
 
 def apply_euler_bootstrap(state: State, config: SimConfig) -> None:
@@ -163,33 +302,37 @@ def apply_euler_bootstrap(state: State, config: SimConfig) -> None:
     2 dt du/dt, so u(-dt) is minus half of that solve.  h(-dt) = h(0)
     exactly since u = 0 makes the depth stationary.
     """
-    u_rate2dt, _ = momentum_update(state, config)
+    u_rate2dt, _ = momentum_update(state, config, work=_workspace(state))
     c = state.grid.interior
-    state.u_prev[c] = -0.5 * u_rate2dt
+    np.multiply(u_rate2dt, -0.5, out=state.u_prev[c])
     apply_dirichlet(state, config)
 
 
 def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport:
-    """Advance one step with the configured scheme; rotates time levels."""
+    """Advance one step with the configured scheme; rotates time levels.
+
+    On SolverError the state is left as it was before the step.
+    """
     shortened = dt is not None
     dt_eff = config.dt if dt is None else dt
-    ng = state.grid.ghost_layers
     c = state.grid.interior
+    work = _workspace(state)
     if config.scheme == "D":
-        h_next = mass_update_leapfrog(state, config, dt_eff)
-        u_next, dominant = momentum_update(state, config, dt_eff)
+        h_next = mass_update_leapfrog(state, config, dt_eff, work)
+        u_next, dominant = momentum_update(state, config, dt_eff, work)
     else:
-        u_next, dominant = momentum_update(state, config, dt_eff)
-        u_next_full = np.zeros(state.grid.n_total)
-        u_next_full[c] = u_next
-        h_next = mass_update_lax_wendroff(state, u_next_full, config, dt_eff)
+        u_next, dominant = momentum_update(state, config, dt_eff, work)
+        work.u_full[c] = u_next
+        h_next = mass_update_lax_wendroff(state, work.u_full, config, dt_eff,
+                                          work)
 
-    if not np.all(np.isfinite(h_next)):
+    min_h = float(h_next.min())
+    if not (math.isfinite(min_h) and math.isfinite(h_next.max())):
         raise SolverError("non-finite depth after mass update", step=state.step)
-    if not np.all(h_next > 0.0):
-        raise SolverError(
-            f"depth positivity lost (min h = {h_next.min():.3e})",
-            step=state.step)
+    if not min_h > 0.0:
+        raise SolverError(f"depth positivity lost (min h = {min_h:.3e})",
+                          step=state.step)
+    max_abs_u = float(np.abs(u_next, out=work.a).max())
 
     # rotate levels n -> n-1
     state.h_prev, state.h = state.h, state.h_prev
@@ -204,10 +347,9 @@ def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport
     else:
         # step counter, not accumulated t, to avoid drift over ~1e5 steps
         state.t = state.step * config.dt
-    return StepReport(step=state.step, t=state.t,
-                      min_h=float(h_next.min()),
-                      max_abs_u=float(np.abs(u_next).max()),
-                      diag_dominant=dominant, shortened=shortened)
+    return StepReport(step=state.step, t=state.t, min_h=min_h,
+                      max_abs_u=max_abs_u, diag_dominant=dominant,
+                      shortened=shortened)
 
 
 def run_to(state: State, config: SimConfig, t_target: float,
@@ -265,4 +407,6 @@ def simulate(config: SimConfig):
     times = set(config.snapshot_times) | {config.t_end}
     snapshots, reports = run_to(state, config, config.t_end,
                                 snapshot_times=sorted(times))
+    # release the work arrays before the caller writes its output
+    state.work = None
     return state, snapshots, reports

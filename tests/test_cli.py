@@ -47,6 +47,23 @@ class TestRun:
         for name in ("diagnostics.csv", "snapshot_1.csv", "step_report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_step_report_columns(self, tmp_path):
+        cfg = write_config(tmp_path / "c.txt")
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        rows = read_csv(out / "step_report.csv")
+        assert rows[0] == ["step", "t", "min_h", "max_abs_u",
+                           "diag_dominant"]
+        assert len(rows) == 1 + round(1.0 / (0.01 * 1.25))
+        assert {row[4] for row in rows[1:]} == {"1"}
+
+    def test_step_report_flags_lost_dominance(self, tmp_path):
+        reports = [sl.StepReport(1, 0.1, 1.0, 0.5, True),
+                   sl.StepReport(2, 0.2, 1.0, 0.5, False)]
+        io.write_step_reports(tmp_path / "r.csv", reports)
+        rows = read_csv(tmp_path / "r.csv")
+        assert [row[4] for row in rows[1:]] == ["1", "0"]
+
     def test_missing_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("h0 = 1.0\n")
@@ -118,6 +135,16 @@ class TestConverge:
               "--exclude-window", "520,540"])
         table = read_csv(out / "convergence.csv")
         assert table[1][-1] == "520.0,540.0"
+
+    def test_scheme_override_recorded_in_manifest(self, tmp_path):
+        man = write_manifest(tmp_path / "m.txt", alphas="40")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man), "--out", str(out),
+                     "--scheme", "E"]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert "scheme = E" in lines
+        assert "scheme = D" not in lines
+        assert "scheme = E" in (out / "40" / "3" / "config.txt").read_text()
 
     def test_bad_levels_exit_2(self, tmp_path, capsys):
         man = write_manifest(tmp_path / "m.txt", levels="4,4")

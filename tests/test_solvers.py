@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import serrelab as sl
 from serrelab.solvers import (assemble_momentum_system, mass_update_lax_wendroff,
                               mass_update_leapfrog, momentum_update,
                               solve_tridiagonal)
-from _cases import run_case
+from _cases import make_config, run_case
 
 
 def small_config(**kw):
@@ -63,6 +65,26 @@ class TestMomentumUpdate:
         cfg = small_config()
         _, dominant = momentum_update(sl.smoothed_dambreak_ic(cfg), cfg)
         assert dominant
+
+
+class TestSolveTridiagonal:
+    def test_singular_system_raises(self):
+        # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: the first two rows are equal
+        sub = np.array([0.0, 1.0, 0.0])
+        diag = np.ones(3)
+        sup = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(sl.SolverError, match="singular"):
+            solve_tridiagonal(sub, diag, sup, np.array([1.0, 2.0, 3.0]))
+
+    def test_singular_momentum_system_carries_step(self):
+        # zero depth zeroes every entry of the momentum matrix
+        cfg = small_config()
+        state = sl.smoothed_dambreak_ic(cfg)
+        state.h[state.grid.interior] = 0.0
+        state.step = 7
+        with pytest.raises(sl.SolverError) as err:
+            momentum_update(state, cfg)
+        assert err.value.step == 7
 
 
 class TestMassUpdateLeapfrog:
@@ -192,6 +214,28 @@ class TestStep:
             report = sl.step(state, cfg)
         assert report.step == 7
         assert state.t == 7 * cfg.dt
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("scheme", ["D", "E"])
+    def test_steps_allocate_no_arrays(self, scheme):
+        # tracemalloc sees numpy's data buffers; after a warm-up step the
+        # traced peak over 20 more steps grows by less than one array
+        cfg = make_config(2.0, 4, 1.0, scheme=scheme)
+        state = sl.smoothed_dambreak_ic(cfg)
+        n = state.grid.n_cells
+        assert n == 1600
+        tracemalloc.start()
+        try:
+            sl.step(state, cfg)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(20):
+                sl.step(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * n
 
 
 class TestRunTo:
