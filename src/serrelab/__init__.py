@@ -4,8 +4,7 @@ shallow-water (Serre/Green-Naghdi) dam-break flows.
 from .core import (ConfigError, Grid, SimConfig, Snapshot, State,
                    analytic_totals, apply_dirichlet, format_config,
                    initial_depth, parse_config_file, parse_config_text,
-                   printed_hamiltonian_total, smoothed_dambreak_ic,
-                   take_snapshot)
+                   smoothed_dambreak_ic, take_snapshot)
 from .diagnostics import (DiagnosticsRecord, bore_means, classify_structure,
                           conservation_error, diagnose, l1_difference,
                           leading_wave, oscillation_amplitude, totals,
@@ -20,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "Grid", "SimConfig", "Snapshot", "State",
     "analytic_totals", "apply_dirichlet", "format_config", "initial_depth",
-    "parse_config_file", "parse_config_text", "printed_hamiltonian_total",
-    "smoothed_dambreak_ic", "take_snapshot",
+    "parse_config_file", "parse_config_text", "smoothed_dambreak_ic",
+    "take_snapshot",
     "DiagnosticsRecord", "bore_means", "classify_structure",
     "conservation_error", "diagnose", "l1_difference", "leading_wave",
     "oscillation_amplitude", "totals", "total_quantity",

@@ -6,16 +6,15 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import diagnostics, io, reference, solvers
-from .core import (ConfigError, SimConfig, format_config, parse_config_file,
-                   parse_config_text)
+from .core import (ConfigError, SimConfig, _parse_value, analytic_totals,
+                   format_config, parse_config_file, parse_key_values)
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -55,24 +54,8 @@ def level_dx(level: int) -> float:
 
 
 def parse_manifest_file(path, out_override=None) -> ExperimentManifest:
-    values = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in MANIFEST_KEYS:
-                raise ConfigError(f"unknown key: {key}")
-            if key in values:
-                raise ConfigError(f"duplicate key: {key}")
-            values[key] = raw.strip()
-    for key in MANIFEST_REQUIRED:
-        if key not in values:
-            raise ConfigError(f"missing key: {key}")
+        values = parse_key_values(fh.read(), MANIFEST_KEYS, MANIFEST_REQUIRED)
 
     alphas = tuple(float(a) for a in values.pop("alphas").split(","))
     levels = tuple(int(k) for k in values.pop("levels").split(","))
@@ -80,23 +63,15 @@ def parse_manifest_file(path, out_override=None) -> ExperimentManifest:
         raise ConfigError("need at least 2 refinement levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("refinement levels must be strictly increasing")
-    snapshot_times = ()
-    if values.get("snapshot_times"):
-        snapshot_times = tuple(float(t)
-                               for t in values.pop("snapshot_times").split(","))
-    else:
-        values.pop("snapshot_times", None)
-    exclude = None
-    if values.get("exclude_window"):
-        exclude = parse_window(values.pop("exclude_window"))
-    else:
-        values.pop("exclude_window", None)
-    out_dir = out_override or values.pop("out_dir", None)
-    values.pop("out_dir", None)
+    window = values.pop("exclude_window", "").strip()
+    exclude = parse_window(window) if window else None
+    values.pop("alpha", None)
+    base = {key: _parse_value(key, raw) for key, raw in values.items()}
+    snapshot_times = base.pop("snapshot_times", ())
+    declared_out = base.pop("out_dir", None)
+    out_dir = out_override or declared_out
     if not out_dir:
         raise ConfigError("missing key: out_dir")
-    values.pop("alpha", None)
-    base = {k: (v if k == "scheme" else float(v)) for k, v in values.items()}
     return ExperimentManifest(base=base, alphas=alphas, levels=levels,
                               out_dir=out_dir, snapshot_times=snapshot_times,
                               exclude_window=exclude)
@@ -112,14 +87,6 @@ def parse_window(text: str):
     return lo, hi
 
 
-def _analytic_totals_or_none(config: SimConfig):
-    try:
-        from .core import analytic_totals
-        return analytic_totals(config)
-    except ConfigError:
-        return None
-
-
 def execute_run(config: SimConfig, out_dir: str):
     """Run one simulation and write its full file set into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -127,7 +94,10 @@ def execute_run(config: SimConfig, out_dir: str):
         fh.write(format_config(config))
 
     state, snapshots, reports = solvers.simulate(config)
-    totals_0 = _analytic_totals_or_none(config)
+    try:
+        totals_0 = analytic_totals(config)
+    except ConfigError:  # x0 is not the domain midpoint
+        totals_0 = None
     sol = None
     delta = None
     if config.h1 > config.h0:
@@ -153,7 +123,7 @@ def cmd_run(args) -> int:
     if args.out:
         overrides["out_dir"] = args.out
     if overrides:
-        config = config.with_overrides(**overrides)
+        config = replace(config, **overrides)
     if not config.out_dir:
         raise ConfigError("missing key: out_dir (set it or pass --out)")
     execute_run(config, config.out_dir)
@@ -177,13 +147,16 @@ def cmd_converge(args) -> int:
         exclude = parse_window(args.exclude_window)
     os.makedirs(manifest.out_dir, exist_ok=True)
     with open(args.manifest) as fh:
-        text = fh.read()
-    if args.scheme:
-        # record the scheme that runs, not the one the manifest names
-        text = re.sub(r"(?m)^\s*scheme\s*=.*$", f"scheme = {args.scheme}",
-                      text)
+        lines = fh.read().split("\n")
+    # record the scheme and the output directory that run, not the ones
+    # the manifest names
+    ran = {"scheme": args.scheme, "out_dir": args.out}
+    for i, line in enumerate(lines):
+        key = line.partition("=")[0].strip()
+        if ran.get(key):
+            lines[i] = f"{key} = {ran[key]}"
     with open(os.path.join(manifest.out_dir, "manifest.txt"), "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines))
 
     cells = [(alpha, level) for alpha in manifest.alphas
              for level in manifest.levels]
@@ -234,8 +207,10 @@ def cmd_converge(args) -> int:
                               math.log2(la[0] / lb[0]) if lb[0] > 0 else float("nan"),
                               math.log2(la[1] / lb[1]) if lb[1] > 0 else float("nan")])
 
-    io.write_convergence_table(os.path.join(manifest.out_dir,
-                                            "convergence.csv"), table_rows)
+    io.write_rows(os.path.join(manifest.out_dir, "convergence.csv"),
+                  io.CONVERGENCE_COLUMNS,
+                  ([row.get(c) for c in io.CONVERGENCE_COLUMNS]
+                   for row in table_rows))
     io.write_rows(os.path.join(manifest.out_dir, "rates.csv"),
                   ["alpha", "dx_coarse", "dx_fine", "rate_h", "rate_u"],
                   rate_rows)

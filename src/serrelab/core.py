@@ -4,13 +4,13 @@ dam-break initial conditions shared by both time-stepping schemes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 GHOST_LAYERS = 2
 SCHEMES = ("D", "E")
-BOOTSTRAPS = ("copy", "euler")
 
 # keys accepted in plain-text config files, in canonical order
 CONFIG_KEYS = (
@@ -42,7 +42,6 @@ class SimConfig:
     g: float = 9.81
     out_dir: str | None = None
     snapshot_times: tuple = ()
-    bootstrap: str = "euler"     # previous-level init: euler | copy
 
     def __post_init__(self):
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
@@ -58,8 +57,6 @@ class SimConfig:
             raise ConfigError("x0 must lie strictly inside the domain")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}")
-        if self.bootstrap not in BOOTSTRAPS:
-            raise ConfigError(f"bootstrap must be one of {BOOTSTRAPS}")
 
     @property
     def dt(self) -> float:
@@ -72,9 +69,6 @@ class SimConfig:
             raise ConfigError(
                 f"x0 = {self.x0} is not the domain midpoint {mid}")
 
-    def with_overrides(self, **kw) -> "SimConfig":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -83,7 +77,7 @@ class Grid:
     a: float
     dx: float
     n_cells: int
-    ghost_layers: int = GHOST_LAYERS
+    ghost_layers: ClassVar[int] = GHOST_LAYERS
 
     @classmethod
     def from_config(cls, config: SimConfig) -> "Grid":
@@ -181,7 +175,7 @@ def smoothed_dambreak_ic(config: SimConfig, grid: Grid | None = None) -> State:
 
     The previous time level is a copy of the initial data; u = 0 forces
     dh/dt = 0 at t = 0, so the copy is exact for h and O(dt) in u.  The
-    optional forward-Euler bootstrap is applied by the stepping loop.
+    stepping loop replaces it by the forward-Euler bootstrap.
     """
     if grid is None:
         grid = Grid.from_config(config)
@@ -196,8 +190,7 @@ def analytic_totals(config: SimConfig) -> tuple[float, float, float]:
     """Closed-form conserved totals (mass, momentum, energy) of the IC.
 
     Valid only when x0 is the domain midpoint.  The energy total is the
-    direct integral of g h(x,0)^2 / 2 over the domain; see
-    printed_hamiltonian_total for the variant kept for traceability.
+    direct integral of g h(x,0)^2 / 2 over the domain.
     """
     config.require_midpoint()
     a, b = config.domain_a, config.domain_b
@@ -207,17 +200,6 @@ def analytic_totals(config: SimConfig) -> tuple[float, float, float]:
     c_ham = (g / 4.0) * ((h0 ** 2 + h1 ** 2) * (b - a)
                          + al * (h1 - h0) ** 2 * math.tanh((a - b) / (2 * al)))
     return c_h, c_uh, c_ham
-
-
-def printed_hamiltonian_total(config: SimConfig) -> float:
-    """Energy-total variant without the bulk (b - a) term and with the
-    opposite sign on the squared depths.  Kept as a secondary output for
-    traceability only; it disagrees with direct quadrature of the IC.
-    """
-    a, b = config.domain_a, config.domain_b
-    h0, h1, al, g = config.h0, config.h1, config.alpha, config.g
-    return (g / 4.0) * (h0 ** 2 - h1 ** 2
-                        + al * (h1 - h0) ** 2 * math.tanh((a - b) / (2 * al)))
 
 
 def _parse_value(key: str, raw: str):
@@ -239,10 +221,11 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def parse_config_text(text: str) -> SimConfig:
-    """Parse `key = value` lines into a SimConfig.
+def parse_key_values(text: str, keys, required) -> dict:
+    """Raw value text of each `key = value` line, by key.
 
-    Unknown keys are a hard error, as is any missing required key.
+    Blank lines and `#` comments are skipped.  A key outside `keys`, a
+    repeated key or a missing `required` key is a hard error.
     """
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -253,15 +236,22 @@ def parse_config_text(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown key: {key}")
         if key in values:
             raise ConfigError(f"duplicate key: {key}")
-        values[key] = _parse_value(key, raw)
-    for key in REQUIRED_KEYS:
+        values[key] = raw
+    for key in required:
         if key not in values:
             raise ConfigError(f"missing key: {key}")
-    return SimConfig(**values)
+    return values
+
+
+def parse_config_text(text: str) -> SimConfig:
+    """Parse `key = value` lines into a SimConfig."""
+    values = parse_key_values(text, CONFIG_KEYS, REQUIRED_KEYS)
+    return SimConfig(**{key: _parse_value(key, raw)
+                        for key, raw in values.items()})
 
 
 def parse_config_file(path) -> SimConfig:

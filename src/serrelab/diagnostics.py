@@ -12,7 +12,6 @@ from .core import Snapshot
 from .reference import SwweSolution
 
 QUANTITIES = ("h", "uh", "H")
-STRUCTURES = ("S1", "S2", "S3", "S4", "Unclassified")
 
 # 3-point Gauss-Legendre rule on [-1, 1]
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -21,7 +20,6 @@ _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 # default thresholds of the structure classifier
 OSCILLATION_FLOOR = 5e-3   # metres; amplitudes below this count as flat
 AMPLITUDE_RATIO = 0.5      # mid-vs-flank ratio separating node from growth
-DAGGER_WINDOW = (520.0, 540.0)   # preset exclusion window for L1 comparisons
 
 
 @dataclass
@@ -228,19 +226,11 @@ def bore_means(snapshot: Snapshot, sol: SwweSolution, t: float):
 
 def _extrema_indices(h):
     """Indices of strict local maxima and minima of a sampled profile."""
-    d = np.diff(h)
-    s = np.sign(d)
-    # carry the previous nonzero slope sign across flat runs
-    nz = s != 0
-    if not np.any(nz):
-        return np.array([], dtype=int)
-    filled = np.where(nz, s, 0)
-    last = 0.0
-    for i in range(len(filled)):
-        if filled[i] == 0:
-            filled[i] = last
-        else:
-            last = filled[i]
+    s = np.sign(np.diff(h))
+    # carry the previous nonzero slope sign across flat runs; leading
+    # flat slopes index the first one, which is zero, and stay zero
+    last = np.maximum.accumulate(np.where(s != 0, np.arange(len(s)), 0))
+    filled = s[last]
     changes = np.flatnonzero(filled[1:] * filled[:-1] < 0) + 1
     return changes
 

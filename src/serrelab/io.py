@@ -30,11 +30,9 @@ _SNAPSHOT_RE = re.compile(r"snapshot_(.+)\.csv$")
 
 
 def write_snapshot(path, snapshot: Snapshot) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "h", "u"])
-        for x, h, u in zip(snapshot.x, snapshot.h, snapshot.u):
-            writer.writerow([fmt(x), fmt(h), fmt(u)])
+    np.savetxt(path, np.column_stack((snapshot.x, snapshot.h, snapshot.u)),
+               fmt=FLOAT_FMT, delimiter=",", newline="\r\n",
+               header="x,h,u", comments="")
 
 
 def read_snapshot(path, t: float | None = None) -> Snapshot:
@@ -57,12 +55,9 @@ def list_snapshots(run_dir):
 
 
 def write_step_reports(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "min_h", "max_abs_u", "diag_dominant"])
-        for r in reports:
-            writer.writerow([r.step, fmt(r.t), fmt(r.min_h), fmt(r.max_abs_u),
-                             int(r.diag_dominant)])
+    write_rows(path, ["step", "t", "min_h", "max_abs_u", "diag_dominant"],
+               ([r.step, r.t, r.min_h, r.max_abs_u, int(r.diag_dominant)]
+                for r in reports))
 
 
 DIAGNOSTICS_COLUMNS = ["t", "C_star_h", "C_star_uh", "C_star_H",
@@ -71,25 +66,12 @@ DIAGNOSTICS_COLUMNS = ["t", "C_star_h", "C_star_uh", "C_star_H",
 
 
 def write_diagnostics(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_COLUMNS)
-        for r in records:
-            writer.writerow([fmt(getattr(r, c)) if c != "structure" else
-                             r.structure for c in DIAGNOSTICS_COLUMNS])
+    write_rows(path, DIAGNOSTICS_COLUMNS,
+               ([getattr(r, c) for c in DIAGNOSTICS_COLUMNS] for r in records))
 
 
 CONVERGENCE_COLUMNS = ["alpha", "dx", "C1_h", "C1_uh", "C1_H",
                        "L1_h", "L1_u", "excluded_window"]
-
-
-def write_convergence_table(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONVERGENCE_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row.get(c)) if c != "excluded_window" else
-                             (row.get(c) or "") for c in CONVERGENCE_COLUMNS])
 
 
 def write_rows(path, header, rows) -> None:

@@ -99,7 +99,7 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work=None):
     hm = h[ng - 1:-ng - 1]
     up = u[ng + 1:-ng + 1]
     um = u[ng - 1:-ng - 1]
-    upp = u[ng + 2:] if ng == 2 else u[ng + 2:-ng + 2]
+    upp = u[ng + 2:]
     umm = u[ng - 2:-ng - 2]
     hc = h[c]
     uc = u[c]
@@ -369,7 +369,7 @@ def run_to(state: State, config: SimConfig, t_target: float,
     for ts in snapshot_times:
         snap_steps.setdefault(round(ts / dt), ts)
 
-    if state.step == 0 and config.bootstrap == "euler":
+    if state.step == 0:
         apply_euler_bootstrap(state, config)
 
     snapshots = []

@@ -146,6 +146,39 @@ class TestConverge:
         assert "scheme = D" not in lines
         assert "scheme = E" in (out / "40" / "3" / "config.txt").read_text()
 
+    def test_out_override_recorded_in_manifest(self, tmp_path):
+        out_a, out_b = tmp_path / "declared", tmp_path / "actual"
+        man = write_manifest(tmp_path / "m.txt", alphas="40",
+                             out_dir=str(out_a))
+        assert main(["converge", "--manifest", str(man),
+                     "--out", str(out_b)]) == 0
+        lines = (out_b / "manifest.txt").read_text().splitlines()
+        assert f"out_dir = {out_b}" in lines
+        assert f"out_dir = {out_a}" not in lines
+        assert not out_a.exists()
+
+    @pytest.mark.parametrize("line, named", [
+        ("viscosity = 1", "unknown key: viscosity"),
+        ("h0 = 2.0", "duplicate key: h0"),
+        ("levels 3,4", "line 10"),
+        ("g = heavy", "bad value for g"),
+    ])
+    def test_bad_manifest_line_exit_2(self, tmp_path, capsys, line, named):
+        man = write_manifest(tmp_path / "m.txt")
+        with open(man, "a") as fh:
+            fh.write(line + "\n")
+        assert main(["converge", "--manifest", str(man),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_blank_optional_values_accepted(self, tmp_path):
+        man = write_manifest(tmp_path / "m.txt", alphas="40",
+                             snapshot_times="", exclude_window="")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man),
+                     "--out", str(out)]) == 0
+        assert read_csv(out / "convergence.csv")[1][-1] == ""
+
     def test_bad_levels_exit_2(self, tmp_path, capsys):
         man = write_manifest(tmp_path / "m.txt", levels="4,4")
         assert main(["converge", "--manifest", str(man),
@@ -201,6 +234,16 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(3)
         for v in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
             assert float(io.fmt(v)) == v
+
+    def test_snapshot_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x, h, u = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(
+            -12, 12, (3, 7))
+        io.write_snapshot(tmp_path / "s.csv",
+                          sl.Snapshot(t=1.0, x=x, h=h, u=u))
+        expected = "x,h,u\r\n" + "".join(
+            "%.17g,%.17g,%.17g\r\n" % row for row in zip(x, h, u))
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
     def test_snapshot_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "c.txt")

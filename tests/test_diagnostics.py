@@ -226,6 +226,29 @@ class TestOscillationAmplitude:
                            lambda x: np.zeros_like(x))
         assert sl.oscillation_amplitude(snap, 0.0, 100.0) == 0.0
 
+    def test_extrema_match_loop_reference(self):
+        def reference(h):
+            s = np.sign(np.diff(h))
+            filled = np.zeros_like(s)
+            last = 0.0
+            for i, si in enumerate(s):
+                last = si if si != 0 else last
+                filled[i] = last
+            return np.flatnonzero(filled[1:] * filled[:-1] < 0) + 1
+
+        rng = np.random.default_rng(7)
+        profiles = [np.full(9, 1.4), np.array([2.0]), np.array([]),
+                    np.array([1.0, 1.0, 2.0, 2.0, 1.0, 1.0])]
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            # few distinct levels make flat runs common
+            h = rng.integers(0, 4, n).astype(float)
+            lead, trail = rng.integers(0, 5, 2)
+            profiles.append(np.concatenate(
+                (np.full(lead, h[0]), h, np.full(trail, h[-1]))))
+        for h in profiles:
+            np.testing.assert_array_equal(_extrema_indices(h), reference(h))
+
 
 def synthetic_bore(t, mid_amp, flank_amp, wavelength=5.0, mid_halfwidth=12.0):
     """Plateau at h2 with sinusoidal oscillations of controlled envelope."""
