@@ -9,41 +9,39 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import diagnostics, io, reference, solvers
-from .core import (ConfigError, SimConfig, _parse_value, analytic_totals,
-                   format_config, parse_config_file, parse_key_values)
+from .core import (CONFIG_KEYS, REQUIRED_KEYS, ConfigError, SimConfig,
+                   _parse_value, analytic_totals, format_config,
+                   parse_config_file, parse_key_values)
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_CONFIG = 2
 
-MANIFEST_KEYS = ("h0", "h1", "x0", "alpha", "domain_a", "domain_b",
-                 "dt_factor", "t_end", "g", "scheme", "out_dir",
-                 "snapshot_times", "alphas", "levels", "exclude_window")
-MANIFEST_REQUIRED = ("h0", "h1", "x0", "domain_a", "domain_b", "t_end",
-                     "scheme", "alphas", "levels")
+# a manifest is a config file whose alpha and dx the sweep sets
+_SWEPT = ("alpha", "dx")
+MANIFEST_KEYS = tuple(k for k in CONFIG_KEYS if k not in _SWEPT) + (
+    "alphas", "levels", "exclude_window")
+MANIFEST_REQUIRED = tuple(k for k in REQUIRED_KEYS if k not in _SWEPT) + (
+    "alphas", "levels")
 
 
 @dataclass
 class ExperimentManifest:
     """Sweep of smoothing lengths and refinement levels (dx = 10 / 2^k)."""
 
-    base: dict
+    base: SimConfig      # the first cell's; config() sets alpha and dx
     alphas: tuple
     levels: tuple
     out_dir: str
-    snapshot_times: tuple = ()
     exclude_window: tuple | None = None
 
     def config(self, alpha: float, level: int) -> SimConfig:
-        kw = dict(self.base)
-        kw["alpha"] = alpha
-        kw["dx"] = level_dx(level)
-        kw["snapshot_times"] = self.snapshot_times
-        return SimConfig(**kw)
+        return replace(self.base, alpha=alpha, dx=level_dx(level))
 
     def cell_dir(self, alpha: float, level: int) -> str:
         return os.path.join(self.out_dir, io.fmt(alpha), str(level))
@@ -65,16 +63,14 @@ def parse_manifest_file(path, out_override=None) -> ExperimentManifest:
         raise ConfigError("refinement levels must be strictly increasing")
     window = values.pop("exclude_window", "").strip()
     exclude = parse_window(window) if window else None
-    values.pop("alpha", None)
     base = {key: _parse_value(key, raw) for key, raw in values.items()}
-    snapshot_times = base.pop("snapshot_times", ())
-    declared_out = base.pop("out_dir", None)
-    out_dir = out_override or declared_out
+    out_dir = base.pop("out_dir", None)
+    out_dir = out_override or out_dir
     if not out_dir:
         raise ConfigError("missing key: out_dir")
+    base = SimConfig(alpha=alphas[0], dx=level_dx(levels[0]), **base)
     return ExperimentManifest(base=base, alphas=alphas, levels=levels,
-                              out_dir=out_dir, snapshot_times=snapshot_times,
-                              exclude_window=exclude)
+                              out_dir=out_dir, exclude_window=exclude)
 
 
 def parse_window(text: str):
@@ -99,17 +95,15 @@ def execute_run(config: SimConfig, out_dir: str):
     except ConfigError:  # x0 is not the domain midpoint
         totals_0 = None
     sol = None
-    delta = None
     if config.h1 > config.h0:
         sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
                                             x0=config.x0)
-        delta = 0.01 * (config.h1 - config.h0)
     records = []
     for snap in snapshots:
         io.write_snapshot(os.path.join(out_dir, io.snapshot_filename(snap.t)),
                           snap)
         records.append(diagnostics.diagnose(snap, config.g, totals_0=totals_0,
-                                            sol=sol, h0=config.h0, delta=delta))
+                                            sol=sol))
     io.write_step_reports(os.path.join(out_dir, "step_report.csv"), reports)
     io.write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), records)
     return snapshots, records
@@ -131,17 +125,20 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(manifest: ExperimentManifest, alpha: float, level: int):
-    config = manifest.config(alpha, level)
-    out_dir = manifest.cell_dir(alpha, level)
-    snapshots, records = execute_run(config, out_dir)
-    return alpha, level, snapshots[-1], records[-1]
+def _sweep_cell(manifest: ExperimentManifest, cell):
+    """Last snapshot and record of one (alpha, level) cell, or its error."""
+    try:
+        snapshots, records = execute_run(manifest.config(*cell),
+                                         manifest.cell_dir(*cell))
+    except solvers.SolverError as exc:
+        return str(exc)
+    return snapshots[-1], records[-1]
 
 
 def cmd_converge(args) -> int:
     manifest = parse_manifest_file(args.manifest, out_override=args.out)
     if args.scheme:
-        manifest.base["scheme"] = args.scheme
+        manifest.base = replace(manifest.base, scheme=args.scheme)
     exclude = manifest.exclude_window
     if args.exclude_window:
         exclude = parse_window(args.exclude_window)
@@ -160,23 +157,16 @@ def cmd_converge(args) -> int:
 
     cells = [(alpha, level) for alpha in manifest.alphas
              for level in manifest.levels]
-    results = {}
-    failed = []
+    run_cell = partial(_sweep_cell, manifest)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = {(a, k): pool.submit(_sweep_cell, manifest, a, k)
-                       for a, k in cells}
-            for (a, k), fut in futures.items():
-                try:
-                    results[a, k] = fut.result()
-                except solvers.SolverError as exc:
-                    failed.append((a, k, str(exc)))
+            outcomes = list(pool.map(run_cell, cells))
     else:
-        for a, k in cells:
-            try:
-                results[a, k] = _sweep_cell(manifest, a, k)
-            except solvers.SolverError as exc:
-                failed.append((a, k, str(exc)))
+        outcomes = list(map(run_cell, cells))
+    failed = [(a, k, out) for (a, k), out in zip(cells, outcomes)
+              if isinstance(out, str)]
+    results = {cell: out for cell, out in zip(cells, outcomes)
+               if not isinstance(out, str)}
 
     window_label = f"{exclude[0]},{exclude[1]}" if exclude else ""
     table_rows = []
@@ -185,11 +175,10 @@ def cmd_converge(args) -> int:
         levels_ok = [k for k in manifest.levels if (alpha, k) in results]
         if len(levels_ok) < 2:
             continue
-        finest = results[alpha, levels_ok[-1]][2]
+        finest = results[alpha, levels_ok[-1]][0]
         l1_by_level = {}
         for k in levels_ok:
-            snap = results[alpha, k][2]
-            record = results[alpha, k][3]
+            snap, record = results[alpha, k]
             row = {"alpha": alpha, "dx": level_dx(k),
                    "C1_h": record.C1_h, "C1_uh": record.C1_uh,
                    "C1_H": record.C1_H, "excluded_window": window_label}
@@ -200,8 +189,7 @@ def cmd_converge(args) -> int:
                                                         exclude_window=exclude)
                 l1_by_level[k] = (row["L1_h"], row["L1_u"])
             table_rows.append(row)
-        pairs = [k for k in levels_ok[:-1]]
-        for ka, kb in zip(pairs, pairs[1:]):
+        for ka, kb in zip(levels_ok[:-1], levels_ok[1:-1]):
             la, lb = l1_by_level[ka], l1_by_level[kb]
             rate_rows.append([alpha, level_dx(ka), level_dx(kb),
                               math.log2(la[0] / lb[0]) if lb[0] > 0 else float("nan"),

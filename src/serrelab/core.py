@@ -157,7 +157,7 @@ def initial_depth(x, config: SimConfig):
 
 
 def apply_dirichlet(state: State, config: SimConfig) -> None:
-    """Refresh ghost cells with the far-field Dirichlet data.
+    """Write the far-field Dirichlet data into the ghost cells.
 
     Idempotent; interior cells are never touched.
     """

@@ -17,9 +17,10 @@ QUANTITIES = ("h", "uh", "H")
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
-# default thresholds of the structure classifier
+# thresholds of the structure classifier and the crest search
 OSCILLATION_FLOOR = 5e-3   # metres; amplitudes below this count as flat
 AMPLITUDE_RATIO = 0.5      # mid-vs-flank ratio separating node from growth
+CREST_PROMINENCE = 1e-10   # metres; rejects round-off wiggles on plateaus
 
 
 @dataclass
@@ -89,33 +90,27 @@ def _gauss_samples(q, dx):
     return vals, ders
 
 
-def total_quantity(snapshot: Snapshot, quantity: str, g: float = 9.81) -> float:
-    """Total of h, uh or the energy density over the snapshot interval.
+def totals(snapshot: Snapshot, g: float = 9.81):
+    """(mass, momentum, energy) totals of one snapshot: the integrals of
+    h, uh and the energy density over the snapshot interval.
 
     Quartic interpolants of h and u per cell, 3-point Gauss quadrature,
     cells summed in fixed left-to-right order.
     """
+    dx = snapshot.dx
+    h_vals, _ = _gauss_samples(snapshot.h, dx)
+    u_vals, u_ders = _gauss_samples(snapshot.u, dx)
+    energy = 0.5 * (h_vals * u_vals ** 2 + (h_vals ** 3 / 3.0) * u_ders ** 2
+                    + g * h_vals ** 2)
+    return tuple(float(np.cumsum((0.5 * dx) * (_GAUSS_WEIGHTS @ f))[-1])
+                 for f in (h_vals, u_vals * h_vals, energy))
+
+
+def total_quantity(snapshot: Snapshot, quantity: str, g: float = 9.81) -> float:
+    """One entry of `totals`: the total of h, uh or H."""
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}")
-    dx = snapshot.dx
-    h_vals, h_ders = _gauss_samples(snapshot.h, dx)
-    if quantity == "h":
-        integrand = h_vals
-    else:
-        u_vals, u_ders = _gauss_samples(snapshot.u, dx)
-        if quantity == "uh":
-            integrand = u_vals * h_vals
-        else:
-            integrand = 0.5 * (h_vals * u_vals ** 2
-                               + (h_vals ** 3 / 3.0) * u_ders ** 2
-                               + g * h_vals ** 2)
-    cell_totals = (0.5 * dx) * (_GAUSS_WEIGHTS @ integrand)
-    return float(np.cumsum(cell_totals)[-1])
-
-
-def totals(snapshot: Snapshot, g: float = 9.81):
-    """(mass, momentum, energy) totals of one snapshot."""
-    return tuple(total_quantity(snapshot, q, g) for q in QUANTITIES)
+    return totals(snapshot, g)[QUANTITIES.index(quantity)]
 
 
 def conservation_error(totals_0, snapshot: Snapshot, g: float, t: float,
@@ -181,21 +176,19 @@ def l1_difference(coarse: Snapshot, fine: Snapshot, quantity: str,
     return float(num / den)
 
 
-def leading_wave(snapshot: Snapshot, h0: float, delta: float,
-                 prominence: float = 1e-10):
+def leading_wave(snapshot: Snapshot, h0: float, delta: float):
     """Rightmost crest of the bore: (position, crest depth), or None.
 
-    Crests are local maxima of h exceeding h0 + delta; the position is
-    refined sub-cell by the three-point parabola through the crest.  The
-    prominence floor rejects round-off wiggles on flat plateaus.
+    Crests are local maxima of h exceeding h0 + delta, and rising at least
+    CREST_PROMINENCE above one neighbour; the position is refined sub-cell
+    by the three-point parabola through the crest.
     """
     h = snapshot.h
     x = snapshot.x
-    interior = slice(1, -1)
     is_max = ((h[1:-1] >= h[:-2]) & (h[1:-1] >= h[2:])
-              & ((h[1:-1] > h[:-2] + prominence)
-                 | (h[1:-1] > h[2:] + prominence)))
-    qualifying = np.flatnonzero(is_max & (h[interior] > h0 + delta)) + 1
+              & ((h[1:-1] > h[:-2] + CREST_PROMINENCE)
+                 | (h[1:-1] > h[2:] + CREST_PROMINENCE)))
+    qualifying = np.flatnonzero(is_max & (h[1:-1] > h0 + delta)) + 1
     if len(qualifying) == 0:
         return None
     i = int(qualifying[-1])
@@ -250,9 +243,7 @@ def oscillation_amplitude(snapshot: Snapshot, lo: float, hi: float) -> float:
     return 0.5 * float(vals.max() - vals.min())
 
 
-def classify_structure(snapshot: Snapshot, sol: SwweSolution, t: float,
-                       eps1: float = OSCILLATION_FLOOR,
-                       rho: float = AMPLITUDE_RATIO) -> str:
+def classify_structure(snapshot: Snapshot, sol: SwweSolution, t: float) -> str:
     """Label the bore interior as one of the four canonical structures.
 
     Oscillation amplitudes are measured in the 20 m window centred on
@@ -270,6 +261,7 @@ def classify_structure(snapshot: Snapshot, sol: SwweSolution, t: float,
     x_front = sol.x_shock(t)
 
     amp_all = oscillation_amplitude(snapshot, x_tail, x_front)
+    eps1, rho = OSCILLATION_FLOOR, AMPLITUDE_RATIO
     if amp_all < eps1:
         return "S1"
     amp_mid = oscillation_amplitude(snapshot, x_u2 - 10.0, x_u2 + 10.0)
@@ -285,8 +277,7 @@ def classify_structure(snapshot: Snapshot, sol: SwweSolution, t: float,
 
 
 def diagnose(snapshot: Snapshot, g: float, totals_0=None,
-             sol: SwweSolution | None = None, h0: float | None = None,
-             delta: float | None = None) -> DiagnosticsRecord:
+             sol: SwweSolution | None = None) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one snapshot."""
     c_star = totals(snapshot, g)
     record = DiagnosticsRecord(t=snapshot.t, C_star_h=c_star[0],
@@ -296,10 +287,8 @@ def diagnose(snapshot: Snapshot, g: float, totals_0=None,
             totals_0, snapshot, g, snapshot.t, totals_t=c_star)
     if sol is not None and snapshot.t > 0:
         record.structure = classify_structure(snapshot, sol, snapshot.t)
-        if h0 is not None and delta is not None:
-            crest = leading_wave(snapshot, h0, delta)
-            if crest is not None:
-                record.x_A, record.A = crest
-        means = bore_means(snapshot, sol, snapshot.t)
-        record.h_mean, record.u_mean = means[0], means[1]
+        crest = leading_wave(snapshot, sol.h0, 0.01 * (sol.h1 - sol.h0))
+        if crest is not None:
+            record.x_A, record.A = crest
+        record.h_mean, record.u_mean, _ = bore_means(snapshot, sol, snapshot.t)
     return record

@@ -4,12 +4,14 @@ every cell round-trips through parse -> format without value change.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import re
 
 import numpy as np
 
 from .core import Snapshot
+from .diagnostics import DiagnosticsRecord
 
 FLOAT_FMT = "%.17g"
 
@@ -60,9 +62,7 @@ def write_step_reports(path, reports) -> None:
                 for r in reports))
 
 
-DIAGNOSTICS_COLUMNS = ["t", "C_star_h", "C_star_uh", "C_star_H",
-                       "C1_h", "C1_uh", "C1_H", "structure",
-                       "x_A", "A", "h_mean", "u_mean"]
+DIAGNOSTICS_COLUMNS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
 
 
 def write_diagnostics(path, records) -> None:

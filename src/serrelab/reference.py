@@ -20,7 +20,7 @@ class RootBracketError(ValueError):
     """The requested root lies outside the admissible bracket."""
 
 
-def _bisect(f, lo, hi, tol=BISECTION_TOL, max_iter=BISECTION_MAX_ITER):
+def _bisect(f, lo, hi):
     """Guarded bisection; chosen over Newton for guaranteed bracketing."""
     flo = f(lo)
     fhi = f(hi)
@@ -30,10 +30,10 @@ def _bisect(f, lo, hi, tol=BISECTION_TOL, max_iter=BISECTION_MAX_ITER):
         return hi
     if flo * fhi > 0.0:
         raise RootBracketError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if fmid == 0.0 or hi - lo <= tol:
+        if fmid == 0.0 or hi - lo <= BISECTION_TOL:
             return mid
         if flo * fmid < 0.0:
             hi = mid

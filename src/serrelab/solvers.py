@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import SimConfig, Snapshot, State, apply_dirichlet, take_snapshot
+from .core import SimConfig, Snapshot, State, take_snapshot
 
 
 class SolverError(RuntimeError):
@@ -191,23 +191,20 @@ def solve_tridiagonal(sub, diag, sup, rhs, overwrite=False):
     return x
 
 
-def momentum_update(state: State, config: SimConfig, dt: float | None = None,
-                    work: Workspace | None = None):
+def momentum_update(state: State, config: SimConfig, dt: float | None = None):
     """New interior velocities by direct tridiagonal elimination.
 
-    Returns (u_next, diag_dominant); u_next is a row of `work`, a fresh
-    Workspace when none is given.  Row i is strictly diagonally dominant
-    iff h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
+    Returns (u_next, diag_dominant); u_next is a row of the state's
+    workspace.  Row i is strictly diagonally dominant iff
+    h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
     break this, so it is checked on every solve, and the solve pivots.
     """
     if dt is None:
         dt = config.dt
-    ng = state.grid.ghost_layers
-    if work is None:
-        work = Workspace(state.grid.n_cells, ng)
+    work = _workspace(state)
     sub, diag, sup, rhs = assemble_momentum_system(
-        state.h, state.u, state.u_prev, state.grid.dx, dt, config.g, ng,
-        work=work)
+        state.h, state.u, state.u_prev, state.grid.dx, dt, config.g,
+        state.grid.ghost_layers, work=work)
     # |diag| > |sub| + |sup| on every row, before the solve overwrites them
     off = np.abs(sub, out=work.a)
     off += np.abs(sup, out=work.b)
@@ -225,16 +222,14 @@ def momentum_update(state: State, config: SimConfig, dt: float | None = None,
 
 
 def mass_update_leapfrog(state: State, config: SimConfig,
-                         dt: float | None = None,
-                         work: Workspace | None = None):
+                         dt: float | None = None):
     """Centred mass update advancing from the previous level:
     h_prev - dt (u (hp - hm) / dx + h (up - um) / dx), into work.h_next.
     """
     if dt is None:
         dt = config.dt
     ng = state.grid.ghost_layers
-    if work is None:
-        work = Workspace(state.grid.n_cells, ng)
+    work = _workspace(state)
     dx = state.grid.dx
     c = slice(ng, -ng)
     hp = state.h[ng + 1:-ng + 1]
@@ -254,8 +249,7 @@ def mass_update_leapfrog(state: State, config: SimConfig,
 
 
 def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig,
-                             dt: float | None = None,
-                             work: Workspace | None = None):
+                             dt: float | None = None):
     """Two-step Lax-Wendroff mass update, into work.h_next.
 
     Half-step depths come from the current level; half-step velocities are
@@ -265,8 +259,7 @@ def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig,
     if dt is None:
         dt = config.dt
     ng = state.grid.ghost_layers
-    if work is None:
-        work = Workspace(state.grid.n_cells, ng)
+    work = _workspace(state)
     dx = state.grid.dx
     h = state.h
     u = state.u
@@ -302,29 +295,28 @@ def apply_euler_bootstrap(state: State, config: SimConfig) -> None:
     2 dt du/dt, so u(-dt) is minus half of that solve.  h(-dt) = h(0)
     exactly since u = 0 makes the depth stationary.
     """
-    u_rate2dt, _ = momentum_update(state, config, work=_workspace(state))
+    u_rate2dt, _ = momentum_update(state, config)
     c = state.grid.interior
     np.multiply(u_rate2dt, -0.5, out=state.u_prev[c])
-    apply_dirichlet(state, config)
 
 
 def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport:
     """Advance one step with the configured scheme; rotates time levels.
 
-    On SolverError the state is left as it was before the step.
+    Writes interiors only: the ghost cells keep the Dirichlet data of the
+    initial condition.  On SolverError the state is left as it was.
     """
     shortened = dt is not None
     dt_eff = config.dt if dt is None else dt
     c = state.grid.interior
     work = _workspace(state)
     if config.scheme == "D":
-        h_next = mass_update_leapfrog(state, config, dt_eff, work)
-        u_next, dominant = momentum_update(state, config, dt_eff, work)
+        h_next = mass_update_leapfrog(state, config, dt_eff)
+        u_next, dominant = momentum_update(state, config, dt_eff)
     else:
-        u_next, dominant = momentum_update(state, config, dt_eff, work)
+        u_next, dominant = momentum_update(state, config, dt_eff)
         work.u_full[c] = u_next
-        h_next = mass_update_lax_wendroff(state, work.u_full, config, dt_eff,
-                                          work)
+        h_next = mass_update_lax_wendroff(state, work.u_full, config, dt_eff)
 
     min_h = float(h_next.min())
     if not (math.isfinite(min_h) and math.isfinite(h_next.max())):
@@ -339,7 +331,6 @@ def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport
     state.u_prev, state.u = state.u, state.u_prev
     state.h[c] = h_next
     state.u[c] = u_next
-    apply_dirichlet(state, config)
 
     state.step += 1
     if shortened:
@@ -353,7 +344,7 @@ def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport
 
 
 def run_to(state: State, config: SimConfig, t_target: float,
-           snapshot_times=None, collect_reports: bool = True):
+           snapshot_times=None):
     """Step until t_target, emitting snapshots at the requested times.
 
     Returns (snapshots, reports).  t_target is expected to be an integer
@@ -383,18 +374,14 @@ def run_to(state: State, config: SimConfig, t_target: float,
 
     for _ in range(n_full):
         try:
-            report = step(state, config)
+            reports.append(step(state, config))
         except SolverError as exc:
             exc.last_snapshot = snapshots[-1] if snapshots else None
             raise
-        if collect_reports:
-            reports.append(report)
         if state.step in snap_steps:
             snapshots.append(take_snapshot(state))
     if remainder > 1e-9 * max(1.0, abs(t_target)):
-        report = step(state, config, dt=remainder)
-        if collect_reports:
-            reports.append(report)
+        reports.append(step(state, config, dt=remainder))
         snapshots.append(take_snapshot(state))
     return snapshots, reports
 

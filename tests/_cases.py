@@ -23,8 +23,7 @@ def run_case(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
     config = make_config(alpha, k, t_end, scheme, domain, h0, h1)
     state = sl.smoothed_dambreak_ic(config)
     wanted = sorted(set(times) | {t_end})
-    snapshots, _ = sl.run_to(state, config, t_end, snapshot_times=wanted,
-                             collect_reports=False)
+    snapshots, _ = sl.run_to(state, config, t_end, snapshot_times=wanted)
     return {s.t: s for s in snapshots}, config
 
 

@@ -162,6 +162,7 @@ class TestConverge:
         ("h0 = 2.0", "duplicate key: h0"),
         ("levels 3,4", "line 10"),
         ("g = heavy", "bad value for g"),
+        ("alpha = 0.4", "unknown key: alpha"),
     ])
     def test_bad_manifest_line_exit_2(self, tmp_path, capsys, line, named):
         man = write_manifest(tmp_path / "m.txt")
@@ -178,6 +179,25 @@ class TestConverge:
         assert main(["converge", "--manifest", str(man),
                      "--out", str(out)]) == 0
         assert read_csv(out / "convergence.csv")[1][-1] == ""
+
+    def test_failing_sweep_same_serial_and_pooled(self, tmp_path, capsys):
+        # dt = 0.3 dx on a sharp front: every cell loses positivity
+        man = write_manifest(tmp_path / "m.txt", dt_factor=0.3, t_end=100.0,
+                             alphas="0.01,40", levels="2,3")
+        errors = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["converge", "--manifest", str(man), "--out",
+                         str(out), "--workers", workers]) == 1
+            errors[workers] = [line for line in
+                               capsys.readouterr().err.splitlines()
+                               if line.startswith("error: cell")]
+            assert read_csv(out / "convergence.csv") == [
+                io.CONVERGENCE_COLUMNS]
+        assert [line.split(" failed:")[0] for line in errors["1"]] == [
+            f"error: cell alpha={a} level={k}"
+            for a in (0.01, 40.0) for k in (2, 3)]
+        assert errors["1"] == errors["2"]
 
     def test_bad_levels_exit_2(self, tmp_path, capsys):
         man = write_manifest(tmp_path / "m.txt", levels="4,4")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import serrelab as sl
-from serrelab.diagnostics import _extrema_indices
+from serrelab.diagnostics import (_GAUSS_WEIGHTS, _extrema_indices,
+                                  _gauss_samples)
 from _cases import SWWE, make_config, run_case
 
 
@@ -57,6 +58,43 @@ class TestTotalQuantity:
                            lambda x: np.zeros_like(x))
         with pytest.raises(ValueError):
             sl.total_quantity(snap, "momentum")
+
+
+def three_pass_totals(snapshot, g):
+    """The totals as computed before `totals` sampled h and u once: one
+    pass per quantity, each sampling h (and u) again."""
+    dx = snapshot.dx
+    out = []
+    for quantity in ("h", "uh", "H"):
+        h_vals, h_ders = _gauss_samples(snapshot.h, dx)
+        if quantity == "h":
+            integrand = h_vals
+        else:
+            u_vals, u_ders = _gauss_samples(snapshot.u, dx)
+            if quantity == "uh":
+                integrand = u_vals * h_vals
+            else:
+                integrand = 0.5 * (h_vals * u_vals ** 2
+                                   + (h_vals ** 3 / 3.0) * u_ders ** 2
+                                   + g * h_vals ** 2)
+        cell_totals = (0.5 * dx) * (_GAUSS_WEIGHTS @ integrand)
+        out.append(float(np.cumsum(cell_totals)[-1]))
+    return tuple(out)
+
+
+class TestTotals:
+    def test_evolved_bore_matches_three_passes(self):
+        snap = run_case(2.0, 4, 3.0, scheme="E")[0][3.0]
+        assert sl.totals(snap, 9.81) == three_pass_totals(snap, 9.81)
+
+    def test_synthetic_matches_three_passes(self):
+        rng = np.random.default_rng(11)
+        snap = snapshot_on(0.0, 7.0, 97,
+                           lambda x: 1.0 + 0.3 * rng.random(len(x)),
+                           lambda x: rng.standard_normal(len(x)))
+        assert sl.totals(snap, 3.7) == three_pass_totals(snap, 3.7)
+        assert [sl.total_quantity(snap, q, 3.7) for q in ("h", "uh", "H")] \
+            == list(three_pass_totals(snap, 3.7))
 
 
 class TestConservationError:

@@ -275,6 +275,26 @@ class TestRunTo:
         assert err.value.last_snapshot is not None
 
 
+class TestGhostCells:
+    @pytest.mark.parametrize("scheme", ["D", "E"])
+    @pytest.mark.parametrize("t_end", [2.0, 2.001])
+    def test_ghosts_hold_dirichlet_data(self, scheme, t_end):
+        # a 20 m basin: both waves reach the walls well before t_end, so
+        # the cells beside the ghosts move while the ghosts must not
+        cfg = small_config(scheme=scheme, x0=10.0, domain_b=20.0,
+                           dx=0.3125, t_end=t_end)
+        state = sl.smoothed_dambreak_ic(cfg)
+        _, reports = sl.run_to(state, cfg, t_end)
+        assert reports[-1].shortened == (t_end == 2.001)
+        ng = state.grid.ghost_layers
+        for arr, left, right in ((state.h, 1.8, 1.0),
+                                 (state.h_prev, 1.8, 1.0),
+                                 (state.u, 0.0, 0.0),
+                                 (state.u_prev, 0.0, 0.0)):
+            assert np.all(arr[:ng] == left) and np.all(arr[-ng:] == right)
+        assert state.h[ng] != 1.8 and state.h[-ng - 1] != 1.0
+
+
 class TestSchemeAgreement:
     def test_smooth_case_profiles_close(self):
         # the two schemes agree closely on the smooth alpha = 40 problem
