@@ -83,13 +83,29 @@ def parse_window(text: str):
     return lo, hi
 
 
+def _write_stepping_output(out_dir: str, snapshots, reports) -> None:
+    for snap in snapshots:
+        io.write_snapshot(os.path.join(out_dir, io.snapshot_filename(snap.t)),
+                          snap)
+    io.write_step_reports(os.path.join(out_dir, "step_report.csv"), reports)
+
+
 def execute_run(config: SimConfig, out_dir: str):
-    """Run one simulation and write its full file set into out_dir."""
+    """Run one simulation and write its full file set into out_dir.
+
+    A run that fails still writes the snapshots and step reports made
+    before the failure, but no diagnostics.csv.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(format_config(config))
 
-    state, snapshots, reports = solvers.simulate(config)
+    try:
+        _, snapshots, reports = solvers.simulate(config)
+    except solvers.SolverError as exc:
+        _write_stepping_output(out_dir, exc.snapshots, exc.reports)
+        raise
+    _write_stepping_output(out_dir, snapshots, reports)
     try:
         totals_0 = analytic_totals(config)
     except ConfigError:  # x0 is not the domain midpoint
@@ -98,13 +114,8 @@ def execute_run(config: SimConfig, out_dir: str):
     if config.h1 > config.h0:
         sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
                                             x0=config.x0)
-    records = []
-    for snap in snapshots:
-        io.write_snapshot(os.path.join(out_dir, io.snapshot_filename(snap.t)),
-                          snap)
-        records.append(diagnostics.diagnose(snap, config.g, totals_0=totals_0,
-                                            sol=sol))
-    io.write_step_reports(os.path.join(out_dir, "step_report.csv"), reports)
+    records = [diagnostics.diagnose(snap, config.g, totals_0=totals_0, sol=sol)
+               for snap in snapshots]
     io.write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), records)
     return snapshots, records
 

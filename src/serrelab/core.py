@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -94,11 +95,16 @@ class Grid:
     def n_total(self) -> int:
         return self.n_cells + 2 * self.ghost_layers
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        """Interior cell centres a + (i + 1/2) dx."""
+        """Interior cell centres a + (i + 1/2) dx.
+
+        Computed once and read-only: every snapshot of a run shares it.
+        """
         i = np.arange(self.n_cells)
-        return self.a + (i + 0.5) * self.dx
+        x = self.a + (i + 0.5) * self.dx
+        x.flags.writeable = False
+        return x
 
     @property
     def x_all(self) -> np.ndarray:

@@ -205,14 +205,15 @@ def bore_means(snapshot: Snapshot, sol: SwweSolution, t: float):
     """Mean depth and velocity over the 100 m window centred on x_u2.
 
     Returns (h_mean, u_mean, clipped); clipped flags a window cut by the
-    domain ends.
+    domain ends.  A window that has left the domain holds no cells and
+    gives (None, None, True).
     """
     x_u2 = sol.x_u2(t)
     lo, hi = x_u2 - 50.0, x_u2 + 50.0
     clipped = lo < snapshot.x[0] or hi > snapshot.x[-1]
     mask = (snapshot.x >= lo) & (snapshot.x <= hi)
     if not np.any(mask):
-        raise ValueError("bore window contains no cells")
+        return None, None, True
     return (float(snapshot.h[mask].mean()), float(snapshot.u[mask].mean()),
             clipped)
 

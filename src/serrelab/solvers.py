@@ -20,16 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import SimConfig, Snapshot, State, take_snapshot
+from .core import ConfigError, SimConfig, State, take_snapshot
 
 
 class SolverError(RuntimeError):
     """Fatal stepping failure (positivity loss, non-finite values,
-    singular momentum system)."""
+    singular momentum system).
+
+    run_to attaches the snapshots and step reports made before the
+    failure, so that the caller can keep them.
+    """
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+        self.snapshots = []
+        self.reports = []
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,6 @@ class StepReport:
     min_h: float
     max_abs_u: float
     diag_dominant: bool
-    shortened: bool = False
 
 
 class Workspace:
@@ -191,7 +196,7 @@ def solve_tridiagonal(sub, diag, sup, rhs, overwrite=False):
     return x
 
 
-def momentum_update(state: State, config: SimConfig, dt: float | None = None):
+def momentum_update(state: State, config: SimConfig):
     """New interior velocities by direct tridiagonal elimination.
 
     Returns (u_next, diag_dominant); u_next is a row of the state's
@@ -199,11 +204,9 @@ def momentum_update(state: State, config: SimConfig, dt: float | None = None):
     h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
     break this, so it is checked on every solve, and the solve pivots.
     """
-    if dt is None:
-        dt = config.dt
     work = _workspace(state)
     sub, diag, sup, rhs = assemble_momentum_system(
-        state.h, state.u, state.u_prev, state.grid.dx, dt, config.g,
+        state.h, state.u, state.u_prev, state.grid.dx, config.dt, config.g,
         state.grid.ghost_layers, work=work)
     # |diag| > |sub| + |sup| on every row, before the solve overwrites them
     off = np.abs(sub, out=work.a)
@@ -221,13 +224,10 @@ def momentum_update(state: State, config: SimConfig, dt: float | None = None):
     return u_next, dominant
 
 
-def mass_update_leapfrog(state: State, config: SimConfig,
-                         dt: float | None = None):
+def mass_update_leapfrog(state: State, config: SimConfig):
     """Centred mass update advancing from the previous level:
     h_prev - dt (u (hp - hm) / dx + h (up - um) / dx), into work.h_next.
     """
-    if dt is None:
-        dt = config.dt
     ng = state.grid.ghost_layers
     work = _workspace(state)
     dx = state.grid.dx
@@ -244,23 +244,21 @@ def mass_update_leapfrog(state: State, config: SimConfig,
     b *= state.h[c]
     b /= dx
     a += b
-    a *= dt
+    a *= config.dt
     return np.subtract(state.h_prev[c], a, out=work.h_next)
 
 
-def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig,
-                             dt: float | None = None):
+def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig):
     """Two-step Lax-Wendroff mass update, into work.h_next.
 
     Half-step depths come from the current level; half-step velocities are
     the four-point space-time average using the already-computed new
     velocities.
     """
-    if dt is None:
-        dt = config.dt
     ng = state.grid.ghost_layers
     work = _workspace(state)
     dx = state.grid.dx
+    dt = config.dt
     h = state.h
     u = state.u
     un1 = u_next_full
@@ -300,23 +298,22 @@ def apply_euler_bootstrap(state: State, config: SimConfig) -> None:
     np.multiply(u_rate2dt, -0.5, out=state.u_prev[c])
 
 
-def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport:
-    """Advance one step with the configured scheme; rotates time levels.
+def step(state: State, config: SimConfig) -> StepReport:
+    """Advance one step of config.dt with the configured scheme; rotates
+    time levels.
 
     Writes interiors only: the ghost cells keep the Dirichlet data of the
     initial condition.  On SolverError the state is left as it was.
     """
-    shortened = dt is not None
-    dt_eff = config.dt if dt is None else dt
     c = state.grid.interior
     work = _workspace(state)
     if config.scheme == "D":
-        h_next = mass_update_leapfrog(state, config, dt_eff)
-        u_next, dominant = momentum_update(state, config, dt_eff)
+        h_next = mass_update_leapfrog(state, config)
+        u_next, dominant = momentum_update(state, config)
     else:
-        u_next, dominant = momentum_update(state, config, dt_eff)
+        u_next, dominant = momentum_update(state, config)
         work.u_full[c] = u_next
-        h_next = mass_update_lax_wendroff(state, work.u_full, config, dt_eff)
+        h_next = mass_update_lax_wendroff(state, work.u_full, config)
 
     min_h = float(h_next.min())
     if not (math.isfinite(min_h) and math.isfinite(h_next.max())):
@@ -333,56 +330,47 @@ def step(state: State, config: SimConfig, dt: float | None = None) -> StepReport
     state.u[c] = u_next
 
     state.step += 1
-    if shortened:
-        state.t = state.t + dt_eff
-    else:
-        # step counter, not accumulated t, to avoid drift over ~1e5 steps
-        state.t = state.step * config.dt
+    # step counter, not accumulated t, to avoid drift over ~1e5 steps
+    state.t = state.step * config.dt
     return StepReport(step=state.step, t=state.t, min_h=min_h,
-                      max_abs_u=max_abs_u, diag_dominant=dominant,
-                      shortened=shortened)
+                      max_abs_u=max_abs_u, diag_dominant=dominant)
 
 
 def run_to(state: State, config: SimConfig, t_target: float,
            snapshot_times=None):
     """Step until t_target, emitting snapshots at the requested times.
 
-    Returns (snapshots, reports).  t_target is expected to be an integer
-    multiple of dt; otherwise the final step is shortened and flagged.
-    On solver failure the error carries the last good snapshot.
+    Returns (snapshots, reports).  t_target must lie a whole number of
+    steps of config.dt after the state's time, or ConfigError is raised
+    before any step.  On solver failure the error carries the snapshots
+    and reports made so far.
     """
     if t_target < state.t:
         raise ValueError("t_target precedes current state time")
     if snapshot_times is None:
         snapshot_times = config.snapshot_times
     dt = config.dt
-    snap_steps = {}
-    for ts in snapshot_times:
-        snap_steps.setdefault(round(ts / dt), ts)
-
-    if state.step == 0:
-        apply_euler_bootstrap(state, config)
+    n = round((t_target - state.t) / dt)
+    if abs(t_target - state.t - n * dt) > 1e-9 * max(1.0, abs(t_target)):
+        raise ConfigError(
+            f"t_end = {t_target} is not t = {state.t} plus a whole number "
+            f"of steps dt = {dt}")
+    snap_steps = {round(ts / dt) for ts in snapshot_times}
 
     snapshots = []
     reports = []
-    if state.step in snap_steps or t_target == state.t:
-        snapshots.append(take_snapshot(state))
-
-    n_float = (t_target - state.t) / dt
-    n_full = int(math.floor(n_float + 1e-9))
-    remainder = t_target - (state.t + n_full * dt)
-
-    for _ in range(n_full):
-        try:
-            reports.append(step(state, config))
-        except SolverError as exc:
-            exc.last_snapshot = snapshots[-1] if snapshots else None
-            raise
-        if state.step in snap_steps:
+    try:
+        if state.step == 0:
+            apply_euler_bootstrap(state, config)
+        if state.step in snap_steps or n == 0:
             snapshots.append(take_snapshot(state))
-    if remainder > 1e-9 * max(1.0, abs(t_target)):
-        reports.append(step(state, config, dt=remainder))
-        snapshots.append(take_snapshot(state))
+        for _ in range(n):
+            reports.append(step(state, config))
+            if state.step in snap_steps:
+                snapshots.append(take_snapshot(state))
+    except SolverError as exc:
+        exc.snapshots, exc.reports = snapshots, reports
+        raise
     return snapshots, reports
 
 

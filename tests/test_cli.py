@@ -89,6 +89,31 @@ class TestRun:
                      str(tmp_path / "o")]) == 1
         assert "solver failed" in capsys.readouterr().err
 
+    def test_solver_failure_keeps_evidence(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", alpha=0.01, dx=12.5,
+                           dt_factor=2.0, t_end=100.0, snapshot_times="0")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        failed_at = int(err.split("failed at step ")[1].split(":")[0])
+        snap = io.read_snapshot(out / "snapshot_0.csv")
+        assert snap.t == 0.0 and np.all(snap.u == 0.0)
+        rows = read_csv(out / "step_report.csv")
+        assert [int(row[0]) for row in rows[1:]] == list(
+            range(1, failed_at + 1))
+        assert not (out / "diagnostics.csv").exists()
+
+    def test_t_end_between_steps_exit_2(self, tmp_path, capsys):
+        # dt = 0.0125; every draw puts t_end strictly between two steps
+        rng = np.random.default_rng(13)
+        for n, f in zip(rng.integers(0, 400, 5), rng.uniform(0.01, 0.99, 5)):
+            t_end = float((n + f) * 0.0125)
+            cfg = write_config(tmp_path / "c.txt", t_end=repr(t_end),
+                               snapshot_times=None)
+            assert main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 2
+            assert f"t_end = {t_end} is not" in capsys.readouterr().err
+
 
 def write_manifest(path, **overrides):
     values = dict(h0=1.0, h1=1.8, x0=50.0, domain_a=0.0, domain_b=100.0,
@@ -182,7 +207,7 @@ class TestConverge:
 
     def test_failing_sweep_same_serial_and_pooled(self, tmp_path, capsys):
         # dt = 0.3 dx on a sharp front: every cell loses positivity
-        man = write_manifest(tmp_path / "m.txt", dt_factor=0.3, t_end=100.0,
+        man = write_manifest(tmp_path / "m.txt", dt_factor=0.3, t_end=99.0,
                              alphas="0.01,40", levels="2,3")
         errors = {}
         for workers in ("1", "2"):
@@ -198,6 +223,18 @@ class TestConverge:
             f"error: cell alpha={a} level={k}"
             for a in (0.01, 40.0) for k in (2, 3)]
         assert errors["1"] == errors["2"]
+
+    def test_bore_window_outside_domain(self, tmp_path):
+        # by t = 100 s the 100 m bore window has left the 100 m basin
+        man = write_manifest(tmp_path / "m.txt", dt_factor=0.1, t_end=100.0,
+                             alphas="40", levels="2,3")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man),
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out / "convergence.csv")) == 3
+        rows = read_csv(out / "40" / "3" / "diagnostics.csv")
+        record = dict(zip(rows[0], rows[1]))
+        assert record["h_mean"] == record["u_mean"] == ""
 
     def test_bad_levels_exit_2(self, tmp_path, capsys):
         man = write_manifest(tmp_path / "m.txt", levels="4,4")
