@@ -12,7 +12,7 @@ from .diagnostics import (DiagnosticsRecord, bore_means, classify_structure,
 from .reference import (RootBracketError, SwweSolution, WhithamPrediction,
                         phase_velocity, solve_swwe_dambreak, swwe_profile,
                         whitham_leading_wave)
-from .solvers import SolverError, StepReport, run_to, simulate, step
+from .solvers import SolverError, StepReport, run_to, step
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "oscillation_amplitude", "totals", "total_quantity",
     "RootBracketError", "SwweSolution", "WhithamPrediction", "phase_velocity",
     "solve_swwe_dambreak", "swwe_profile", "whitham_leading_wave",
-    "SolverError", "StepReport", "run_to", "simulate", "step",
+    "SolverError", "StepReport", "run_to", "step",
 ]

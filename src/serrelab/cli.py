@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics, io, reference, solvers
 from .core import (CONFIG_KEYS, REQUIRED_KEYS, ConfigError, SimConfig,
                    _parse_value, analytic_totals, format_config,
-                   parse_config_file, parse_key_values)
+                   parse_config_file, parse_key_values, smoothed_dambreak_ic)
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -101,7 +101,9 @@ def execute_run(config: SimConfig, out_dir: str):
         fh.write(format_config(config))
 
     try:
-        _, snapshots, reports = solvers.simulate(config)
+        # the state is not named, so it is freed before the output is written
+        snapshots, reports = solvers.run_to(smoothed_dambreak_ic(config),
+                                            config)
     except solvers.SolverError as exc:
         _write_stepping_output(out_dir, exc.snapshots, exc.reports)
         raise
@@ -242,9 +244,8 @@ def cmd_compare(args) -> int:
                                         x0=config.x0)
     whitham = reference.whitham_leading_wave(config.h0, config.h1, config.g,
                                              x0=config.x0)
-    delta = 0.01 * (config.h1 - config.h0)
-    crest = diagnostics.leading_wave(snap, config.h0, delta)
-    h_mean, u_mean, _ = diagnostics.bore_means(snap, sol, t)
+    crest = diagnostics.leading_wave(snap, sol)
+    h_mean, u_mean, _ = diagnostics.bore_means(snap, sol)
     header = ["t", "h_mean", "h2", "u_mean", "u2", "A", "A_plus",
               "x_A", "x_S2", "x_S_plus"]
     if crest is None:

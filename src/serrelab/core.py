@@ -26,9 +26,21 @@ class ConfigError(ValueError):
     """Invalid, missing or unknown configuration data."""
 
 
-@dataclass
+def _whole(q: float, message: str, least: int = 0) -> int:
+    """The whole number nearest q, which must be at least `least` and
+    within 1e-9 max(1, q) of q, or ConfigError(message)."""
+    if not math.isfinite(q):
+        raise ConfigError(message)
+    n = round(q)
+    if n < least or abs(q - n) > 1e-9 * max(1.0, q):
+        raise ConfigError(message)
+    return n
+
+
+@dataclass(frozen=True)
 class SimConfig:
-    """All physical and numerical parameters of one simulation run."""
+    """All physical and numerical parameters of one simulation run; frozen,
+    so the counts that validate() derives cannot go stale."""
 
     h0: float                    # right-state depth (m)
     h1: float                    # left-state depth (m)
@@ -43,9 +55,14 @@ class SimConfig:
     g: float = 9.81
     out_dir: str | None = None
     snapshot_times: tuple = ()
+    # set by validate(); snapshot_steps includes n_steps
+    n_cells: int = field(init=False, repr=False)
+    n_steps: int = field(init=False, repr=False)
+    snapshot_steps: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        self.__dict__["snapshot_times"] = tuple(
+            float(t) for t in self.snapshot_times)
         self.validate()
 
     def validate(self):
@@ -58,6 +75,22 @@ class SimConfig:
             raise ConfigError("x0 must lie strictly inside the domain")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}")
+        a, b, dt = self.domain_a, self.domain_b, self.dt
+        n_cells = _whole(
+            (b - a) / self.dx, f"dx = {self.dx} does not tile [{a}, {b}] "
+            f"with an integer number of cells", least=1)
+        n_steps = _whole(
+            self.t_end / dt, f"t_end = {self.t_end} is not a positive whole "
+            f"number of steps dt = {dt}", least=1)
+        steps = {n_steps}
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= self.t_end:
+                raise ConfigError(f"snapshot_times entry {t} lies outside "
+                                  f"[0, t_end = {self.t_end}]")
+            steps.add(_whole(t / dt, f"snapshot_times entry {t} is not a "
+                             f"whole number of steps dt = {dt}"))
+        self.__dict__.update(n_cells=n_cells, n_steps=n_steps,
+                             snapshot_steps=frozenset(steps))
 
     @property
     def dt(self) -> float:
@@ -82,14 +115,7 @@ class Grid:
 
     @classmethod
     def from_config(cls, config: SimConfig) -> "Grid":
-        span = config.domain_b - config.domain_a
-        n = span / config.dx
-        n_cells = round(n)
-        if n_cells < 1 or abs(n - n_cells) > 1e-9 * max(1.0, n):
-            raise ConfigError(
-                f"dx = {config.dx} does not tile [{config.domain_a}, "
-                f"{config.domain_b}] with an integer number of cells")
-        return cls(a=config.domain_a, dx=config.dx, n_cells=n_cells)
+        return cls(config.domain_a, config.dx, config.n_cells)
 
     @property
     def n_total(self) -> int:
@@ -129,7 +155,7 @@ class State:
     t: float = 0.0
     step: int = 0
     # the stepper's work arrays (solvers.Workspace): made by the first
-    # step, dropped by solvers.simulate when its run ends
+    # step, freed with the state
     work: object = field(default=None, repr=False, compare=False)
 
     def interior(self, arr: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 OSCILLATION_FLOOR = 5e-3   # metres; amplitudes below this count as flat
 AMPLITUDE_RATIO = 0.5      # mid-vs-flank ratio separating node from growth
 CREST_PROMINENCE = 1e-10   # metres; rejects round-off wiggles on plateaus
+CREST_THRESHOLD = 0.01     # crests rise this share of h1 - h0 above h0
 
 
 @dataclass
@@ -113,20 +114,17 @@ def total_quantity(snapshot: Snapshot, quantity: str, g: float = 9.81) -> float:
     return totals(snapshot, g)[QUANTITIES.index(quantity)]
 
 
-def conservation_error(totals_0, snapshot: Snapshot, g: float, t: float,
-                       totals_t=None):
-    """Relative conservation errors vs the analytic initial totals.
+def conservation_error(totals_0, snapshot: Snapshot, g: float, totals_t):
+    """Relative conservation errors of `totals_t` vs the initial totals.
 
     Momentum uses the absolute, boundary-flux-corrected form (its initial
     total is zero); boundary depths are taken from the outermost interior
     cells.
     """
     c_h0, c_uh0, c_ham0 = totals_0
-    if totals_t is None:
-        totals_t = totals(snapshot, g)
     c_h, c_uh, c_ham = totals_t
     c1_h = abs(c_h0 - c_h) / abs(c_h0)
-    flux = 0.5 * g * t * (snapshot.h[-1] ** 2 - snapshot.h[0] ** 2)
+    flux = 0.5 * g * snapshot.t * (snapshot.h[-1] ** 2 - snapshot.h[0] ** 2)
     c1_uh = abs(c_uh0 - c_uh - flux)
     c1_ham = abs(c_ham0 - c_ham) / abs(c_ham0)
     return c1_h, c1_uh, c1_ham
@@ -176,19 +174,20 @@ def l1_difference(coarse: Snapshot, fine: Snapshot, quantity: str,
     return float(num / den)
 
 
-def leading_wave(snapshot: Snapshot, h0: float, delta: float):
+def leading_wave(snapshot: Snapshot, sol: SwweSolution):
     """Rightmost crest of the bore: (position, crest depth), or None.
 
-    Crests are local maxima of h exceeding h0 + delta, and rising at least
-    CREST_PROMINENCE above one neighbour; the position is refined sub-cell
-    by the three-point parabola through the crest.
+    Crests are local maxima of h above h0 + CREST_THRESHOLD (h1 - h0)
+    that rise at least CREST_PROMINENCE above one neighbour; the position
+    is refined sub-cell by the three-point parabola through the crest.
     """
     h = snapshot.h
     x = snapshot.x
     is_max = ((h[1:-1] >= h[:-2]) & (h[1:-1] >= h[2:])
               & ((h[1:-1] > h[:-2] + CREST_PROMINENCE)
                  | (h[1:-1] > h[2:] + CREST_PROMINENCE)))
-    qualifying = np.flatnonzero(is_max & (h[1:-1] > h0 + delta)) + 1
+    floor = sol.h0 + CREST_THRESHOLD * (sol.h1 - sol.h0)
+    qualifying = np.flatnonzero(is_max & (h[1:-1] > floor)) + 1
     if len(qualifying) == 0:
         return None
     i = int(qualifying[-1])
@@ -201,14 +200,14 @@ def leading_wave(snapshot: Snapshot, h0: float, delta: float):
     return float(x_a), float(a)
 
 
-def bore_means(snapshot: Snapshot, sol: SwweSolution, t: float):
+def bore_means(snapshot: Snapshot, sol: SwweSolution):
     """Mean depth and velocity over the 100 m window centred on x_u2.
 
     Returns (h_mean, u_mean, clipped); clipped flags a window cut by the
     domain ends.  A window that has left the domain holds no cells and
     gives (None, None, True).
     """
-    x_u2 = sol.x_u2(t)
+    x_u2 = sol.x_u2(snapshot.t)
     lo, hi = x_u2 - 50.0, x_u2 + 50.0
     clipped = lo < snapshot.x[0] or hi > snapshot.x[-1]
     mask = (snapshot.x >= lo) & (snapshot.x <= hi)
@@ -244,7 +243,7 @@ def oscillation_amplitude(snapshot: Snapshot, lo: float, hi: float) -> float:
     return 0.5 * float(vals.max() - vals.min())
 
 
-def classify_structure(snapshot: Snapshot, sol: SwweSolution, t: float) -> str:
+def classify_structure(snapshot: Snapshot, sol: SwweSolution) -> str:
     """Label the bore interior as one of the four canonical structures.
 
     Oscillation amplitudes are measured in the 20 m window centred on
@@ -252,6 +251,7 @@ def classify_structure(snapshot: Snapshot, sol: SwweSolution, t: float) -> str:
     between the rarefaction tail and the shock decides the non-oscillatory
     case.
     """
+    t = snapshot.t
     if not t > 0:
         raise ValueError("classification needs t > 0")
     x_u2 = sol.x_u2(t)
@@ -285,11 +285,11 @@ def diagnose(snapshot: Snapshot, g: float, totals_0=None,
                                C_star_uh=c_star[1], C_star_H=c_star[2])
     if totals_0 is not None:
         record.C1_h, record.C1_uh, record.C1_H = conservation_error(
-            totals_0, snapshot, g, snapshot.t, totals_t=c_star)
+            totals_0, snapshot, g, c_star)
     if sol is not None and snapshot.t > 0:
-        record.structure = classify_structure(snapshot, sol, snapshot.t)
-        crest = leading_wave(snapshot, sol.h0, 0.01 * (sol.h1 - sol.h0))
+        record.structure = classify_structure(snapshot, sol)
+        crest = leading_wave(snapshot, sol)
         if crest is not None:
             record.x_A, record.A = crest
-        record.h_mean, record.u_mean, _ = bore_means(snapshot, sol, snapshot.t)
+        record.h_mean, record.u_mean, _ = bore_means(snapshot, sol)
     return record

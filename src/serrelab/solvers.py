@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import ConfigError, SimConfig, State, take_snapshot
+from .core import SimConfig, State, take_snapshot
 
 
 class SolverError(RuntimeError):
@@ -336,52 +336,24 @@ def step(state: State, config: SimConfig) -> StepReport:
                       max_abs_u=max_abs_u, diag_dominant=dominant)
 
 
-def run_to(state: State, config: SimConfig, t_target: float,
-           snapshot_times=None):
-    """Step until t_target, emitting snapshots at the requested times.
+def run_to(state: State, config: SimConfig):
+    """Step the initial state to config.t_end, with a snapshot at each of
+    config.snapshot_steps.
 
-    Returns (snapshots, reports).  t_target must lie a whole number of
-    steps of config.dt after the state's time, or ConfigError is raised
-    before any step.  On solver failure the error carries the snapshots
-    and reports made so far.
+    Returns (snapshots, reports).  On solver failure the error carries the
+    snapshots and reports made so far.
     """
-    if t_target < state.t:
-        raise ValueError("t_target precedes current state time")
-    if snapshot_times is None:
-        snapshot_times = config.snapshot_times
-    dt = config.dt
-    n = round((t_target - state.t) / dt)
-    if abs(t_target - state.t - n * dt) > 1e-9 * max(1.0, abs(t_target)):
-        raise ConfigError(
-            f"t_end = {t_target} is not t = {state.t} plus a whole number "
-            f"of steps dt = {dt}")
-    snap_steps = {round(ts / dt) for ts in snapshot_times}
-
     snapshots = []
     reports = []
     try:
-        if state.step == 0:
-            apply_euler_bootstrap(state, config)
-        if state.step in snap_steps or n == 0:
+        apply_euler_bootstrap(state, config)
+        if 0 in config.snapshot_steps:
             snapshots.append(take_snapshot(state))
-        for _ in range(n):
+        for _ in range(config.n_steps):
             reports.append(step(state, config))
-            if state.step in snap_steps:
+            if state.step in config.snapshot_steps:
                 snapshots.append(take_snapshot(state))
     except SolverError as exc:
         exc.snapshots, exc.reports = snapshots, reports
         raise
     return snapshots, reports
-
-
-def simulate(config: SimConfig):
-    """Convenience wrapper: build the IC and run to config.t_end."""
-    from .core import smoothed_dambreak_ic
-
-    state = smoothed_dambreak_ic(config)
-    times = set(config.snapshot_times) | {config.t_end}
-    snapshots, reports = run_to(state, config, config.t_end,
-                                snapshot_times=sorted(times))
-    # release the work arrays before the caller writes its output
-    state.work = None
-    return state, snapshots, reports

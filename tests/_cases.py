@@ -20,10 +20,9 @@ def make_config(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
 def run_case(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
              h0=1.0, h1=1.8, times=()):
     """Run one dam-break case; returns ({t: snapshot}, config)."""
-    config = make_config(alpha, k, t_end, scheme, domain, h0, h1)
-    state = sl.smoothed_dambreak_ic(config)
-    wanted = sorted(set(times) | {t_end})
-    snapshots, _ = sl.run_to(state, config, t_end, snapshot_times=wanted)
+    config = make_config(alpha, k, t_end, scheme, domain, h0, h1,
+                         snapshot_times=times)
+    snapshots, _ = sl.run_to(sl.smoothed_dambreak_ic(config), config)
     return {s.t: s for s in snapshots}, config
 
 

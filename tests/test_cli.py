@@ -114,6 +114,25 @@ class TestRun:
                          str(tmp_path / "o")]) == 2
             assert f"t_end = {t_end} is not" in capsys.readouterr().err
 
+    # dt = 0.0125 and 80 cells: each value below is off-step, out of
+    # range, shorter than one step or does not tile the domain
+    @pytest.mark.parametrize("key, value, named", [
+        ("snapshot_times", "0.26", "snapshot_times entry 0.26"),
+        ("snapshot_times", "0.5,5", "snapshot_times entry 5.0"),
+        ("snapshot_times", "-0.5", "snapshot_times entry -0.5"),
+        ("t_end", "1.01", "t_end = 1.01"),
+        ("t_end", "inf", "t_end = inf"),
+        ("t_end", "1e-12", "t_end = 1e-12"),
+        ("dx", "0.7", "dx = 0.7"),
+    ])
+    def test_bad_clock_exit_2_before_output(self, tmp_path, capsys, key,
+                                            value, named):
+        cfg = write_config(tmp_path / "c.txt", **{key: value})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_manifest(path, **overrides):
     values = dict(h0=1.0, h1=1.8, x0=50.0, domain_a=0.0, domain_b=100.0,
@@ -235,6 +254,21 @@ class TestConverge:
         rows = read_csv(out / "40" / "3" / "diagnostics.csv")
         record = dict(zip(rows[0], rows[1]))
         assert record["h_mean"] == record["u_mean"] == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("key, value, named", [
+        ("t_end", "1.01", "t_end = 1.01"),
+        ("snapshot_times", "0.26", "snapshot_times entry 0.26"),
+        ("domain_b", "99.0", "does not tile"),
+    ])
+    def test_bad_clock_exit_2_before_output(self, tmp_path, capsys, workers,
+                                            key, value, named):
+        man = write_manifest(tmp_path / "m.txt", **{key: value})
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man), "--out", str(out),
+                     "--workers", workers]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_levels_exit_2(self, tmp_path, capsys):
         man = write_manifest(tmp_path / "m.txt", levels="4,4")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,12 @@ class TestConfigValidation:
     def test_domain_ordering(self):
         with pytest.raises(sl.ConfigError):
             base_config(domain_a=1000.0, domain_b=0.0, x0=500.0)
+
+    def test_frozen_counts_follow_replace(self):
+        cfg = base_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.t_end = 2.0
+        assert dataclasses.replace(cfg, t_end=2.0).n_steps == 2 * cfg.n_steps
 
     def test_require_midpoint(self):
         base_config().require_midpoint()
@@ -141,7 +148,8 @@ class TestAnalyticTotals:
 
 class TestConfigFormat:
     def test_round_trip(self):
-        cfg = base_config(snapshot_times=(3.0, 30.0), out_dir="runs/a")
+        cfg = base_config(t_end=30.0, snapshot_times=(3.0, 30.0),
+                          out_dir="runs/a")
         again = sl.parse_config_text(sl.format_config(cfg))
         for key in ("h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx",
                     "dt_factor", "t_end", "g", "scheme", "out_dir",

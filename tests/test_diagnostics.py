@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,8 +104,7 @@ class TestConservationError:
         state = sl.smoothed_dambreak_ic(cfg)
         snap = sl.take_snapshot(state)
         tot = sl.totals(snap, cfg.g)
-        c1_h, c1_uh, c1_ham = sl.conservation_error(tot, snap, cfg.g, 0.0,
-                                                    totals_t=tot)
+        c1_h, c1_uh, c1_ham = sl.conservation_error(tot, snap, cfg.g, tot)
         assert c1_h <= 1e-12 and c1_uh <= 1e-12 and c1_ham <= 1e-12
 
     def test_still_basin_momentum(self):
@@ -113,17 +113,19 @@ class TestConservationError:
         cfg = sl.SimConfig(h0=1.4, h1=1.4, x0=50.0, alpha=2.0, domain_a=0.0,
                            domain_b=100.0, dx=1.25, t_end=1.25, scheme="D")
         state = sl.smoothed_dambreak_ic(cfg)
-        snaps, _ = sl.run_to(state, cfg, 1.25, snapshot_times=[1.25])
+        snaps, _ = sl.run_to(state, cfg)
         totals_0 = sl.analytic_totals(cfg)
-        _, c1_uh, _ = sl.conservation_error(totals_0, snaps[-1], cfg.g, 1.25)
+        _, c1_uh, _ = sl.conservation_error(totals_0, snaps[-1], cfg.g,
+                                            sl.totals(snaps[-1], cfg.g))
         assert c1_uh <= 1e-12
 
     def test_momentum_correction_applied(self):
         cfg = make_config(2.0, 6, 30.0)
-        snap = sl.take_snapshot(sl.smoothed_dambreak_ic(cfg))
-        totals_0 = sl.analytic_totals(cfg)
         t = 10.0
-        _, c1_uh, _ = sl.conservation_error(totals_0, snap, cfg.g, t)
+        snap = replace(sl.take_snapshot(sl.smoothed_dambreak_ic(cfg)), t=t)
+        totals_0 = sl.analytic_totals(cfg)
+        _, c1_uh, _ = sl.conservation_error(totals_0, snap, cfg.g,
+                                            sl.totals(snap, cfg.g))
         expected = abs(0.5 * cfg.g * t * (snap.h[-1] ** 2 - snap.h[0] ** 2))
         assert c1_uh == pytest.approx(expected, rel=1e-6)
 
@@ -183,14 +185,14 @@ class TestLeadingWave:
         snap = snapshot_on(0.0, 1000.0, 500,
                            lambda x: 1.4 - 0.4 * np.tanh((x - 500) / 40.0),
                            lambda x: np.zeros_like(x))
-        assert sl.leading_wave(snap, 1.0, 0.008) is None
+        assert sl.leading_wave(snap, SWWE) is None
 
     def test_synthetic_sech_crest(self):
         dx = 0.1
         snap = snapshot_on(500.0, 700.0, 2000,
                            lambda x: 1.0 + 0.7 / np.cosh(x - 600.0) ** 2,
                            lambda x: np.zeros_like(x))
-        x_a, amp = sl.leading_wave(snap, 1.0, 0.008)
+        x_a, amp = sl.leading_wave(snap, SWWE)
         assert x_a == pytest.approx(600.0, abs=dx / 10.0)
         assert amp == pytest.approx(1.7, abs=1e-3)
 
@@ -200,7 +202,7 @@ class TestLeadingWave:
                     + 0.3 / np.cosh(np.clip(x - 700.0, -300, 300)) ** 2)
         snap = snapshot_on(0.0, 1000.0, 2000, two_bumps,
                            lambda x: np.zeros_like(x))
-        x_a, amp = sl.leading_wave(snap, 1.0, 0.008)
+        x_a, amp = sl.leading_wave(snap, SWWE)
         assert x_a == pytest.approx(700.0, abs=0.1)
         # the parabola slightly undershoots a sech^2 crest at this dx
         assert amp == pytest.approx(1.3, abs=1e-2)
@@ -211,7 +213,7 @@ class TestLeadingWave:
         h += 1e-13 * rng.standard_normal(500)
         snap = sl.Snapshot(t=0.0, x=np.linspace(0, 499, 500), h=h,
                            u=np.zeros(500))
-        assert sl.leading_wave(snap, 1.0, 0.008) is None
+        assert sl.leading_wave(snap, SWWE) is None
 
 
 class TestBoreMeans:
@@ -220,7 +222,7 @@ class TestBoreMeans:
         snap = snapshot_on(0.0, 1000.0, 2000,
                            lambda x: np.full_like(x, SWWE.h2),
                            lambda x: np.full_like(x, SWWE.u2), t=t)
-        h_mean, u_mean, clipped = sl.bore_means(snap, SWWE, t)
+        h_mean, u_mean, clipped = sl.bore_means(snap, SWWE)
         assert h_mean == pytest.approx(SWWE.h2, rel=1e-15)
         assert u_mean == pytest.approx(SWWE.u2, rel=1e-15)
         assert not clipped
@@ -234,7 +236,7 @@ class TestBoreMeans:
         # sawtooth centred exactly on the window midpoint
         h = SWWE.h2 + 0.1 * np.sin(2.0 * np.pi * (x - x_u2) / 10.0)
         snap = sl.Snapshot(t=t, x=x, h=h, u=np.zeros(n))
-        h_mean, _, _ = sl.bore_means(snap, SWWE, t)
+        h_mean, _, _ = sl.bore_means(snap, SWWE)
         assert h_mean == pytest.approx(SWWE.h2, abs=1e-12)
 
     def test_clipped_window_flagged(self):
@@ -242,7 +244,7 @@ class TestBoreMeans:
         snap = snapshot_on(SWWE.x_u2(t) - 10.0, SWWE.x_u2(t) + 60.0, 200,
                            lambda x: np.ones_like(x),
                            lambda x: np.zeros_like(x), t=t)
-        _, _, clipped = sl.bore_means(snap, SWWE, t)
+        _, _, clipped = sl.bore_means(snap, SWWE)
         assert clipped
 
 
@@ -307,30 +309,30 @@ def synthetic_bore(t, mid_amp, flank_amp, wavelength=5.0, mid_halfwidth=12.0):
 class TestClassifier:
     def test_s1_flat_bore(self):
         snap = synthetic_bore(30.0, 0.0, 0.0)
-        assert sl.classify_structure(snap, SWWE, 30.0) == "S1"
+        assert sl.classify_structure(snap, SWWE) == "S1"
 
     def test_s2_plateau_with_oscillating_flanks(self):
         snap = synthetic_bore(30.0, 0.0, 0.05)
-        assert sl.classify_structure(snap, SWWE, 30.0) == "S2"
+        assert sl.classify_structure(snap, SWWE) == "S2"
 
     def test_s3_node_at_contact(self):
         snap = synthetic_bore(30.0, 0.02, 0.08)
-        assert sl.classify_structure(snap, SWWE, 30.0) == "S3"
+        assert sl.classify_structure(snap, SWWE) == "S3"
 
     def test_s4_growth_at_contact(self):
         snap = synthetic_bore(30.0, 0.10, 0.02, mid_halfwidth=8.0)
-        assert sl.classify_structure(snap, SWWE, 30.0) == "S4"
+        assert sl.classify_structure(snap, SWWE) == "S4"
 
     def test_unclassified_when_contact_outside(self):
         snap = snapshot_on(0.0, 100.0, 200, lambda x: np.ones_like(x),
                            lambda x: np.zeros_like(x), t=30.0)
-        assert sl.classify_structure(snap, SWWE, 30.0) == "Unclassified"
+        assert sl.classify_structure(snap, SWWE) == "Unclassified"
 
     def test_velocity_shift_invariance(self):
         snap = synthetic_bore(30.0, 0.0, 0.05)
         shifted = sl.Snapshot(t=snap.t, x=snap.x, h=snap.h, u=snap.u + 3.0)
-        assert (sl.classify_structure(shifted, SWWE, 30.0)
-                == sl.classify_structure(snap, SWWE, 30.0))
+        assert (sl.classify_structure(shifted, SWWE)
+                == sl.classify_structure(snap, SWWE))
 
     def test_steep_bore_evolution_properties(self):
         # one fine steep-front run serves three checks: the front advances,
@@ -338,9 +340,8 @@ class TestClassifier:
         # oscillations around the contact point decay over time
         from _cases import WHITHAM
         snaps, _ = run_case(0.1, 8, 30.0, times=(3.0, 30.0))
-        delta = 0.008
-        x_a3, _ = sl.leading_wave(snaps[3.0], 1.0, delta)
-        x_a30, amp30 = sl.leading_wave(snaps[30.0], 1.0, delta)
+        x_a3, _ = sl.leading_wave(snaps[3.0], SWWE)
+        x_a30, amp30 = sl.leading_wave(snaps[30.0], SWWE)
         assert x_a3 < x_a30
         assert abs(amp30 - WHITHAM.A_plus) / WHITHAM.A_plus < 0.10
         mid3 = sl.oscillation_amplitude(snaps[3.0], SWWE.x_u2(3.0) - 10.0,
@@ -353,6 +354,6 @@ class TestClassifier:
         # the converged alpha = 40 profile keeps its label across one level
         snaps4, _ = run_case(40.0, 4, 30.0)
         snaps5, _ = run_case(40.0, 5, 30.0)
-        label4 = sl.classify_structure(snaps4[30.0], SWWE, 30.0)
-        label5 = sl.classify_structure(snaps5[30.0], SWWE, 30.0)
+        label4 = sl.classify_structure(snaps4[30.0], SWWE)
+        label5 = sl.classify_structure(snaps5[30.0], SWWE)
         assert label4 == label5 == "S1"

@@ -28,9 +28,7 @@ T_END = 2.0
 def run_golden_case(alpha, scheme):
     """Final profiles and step-report columns of one golden case."""
     config = make_config(alpha, 4, T_END, scheme=scheme)
-    state = sl.smoothed_dambreak_ic(config)
-    snapshots, reports = sl.run_to(state, config, T_END,
-                                   snapshot_times=[T_END])
+    snapshots, reports = sl.run_to(sl.smoothed_dambreak_ic(config), config)
     return {
         "h": snapshots[-1].h,
         "u": snapshots[-1].u,

@@ -190,7 +190,7 @@ class TestStep:
         assert np.abs(state.interior(state.u)).max() <= 1e-12
 
     def test_positivity_failure_raises(self):
-        cfg = small_config(alpha=0.1, dt_factor=20.0)
+        cfg = small_config(alpha=0.1, dt_factor=20.0, t_end=1000.0)
         assert cfg.dt == 50.0
         state = sl.smoothed_dambreak_ic(cfg)
         with pytest.raises(sl.SolverError) as err:
@@ -203,7 +203,7 @@ class TestStep:
         cfg = small_config(t_end=1.0)
         finals = []
         for _ in range(2):
-            _, snapshots, _ = sl.simulate(cfg)
+            snapshots, _ = sl.run_to(sl.smoothed_dambreak_ic(cfg), cfg)
             finals.append(snapshots[-1])
         assert np.array_equal(finals[0].h, finals[1].h)
         assert np.array_equal(finals[0].u, finals[1].u)
@@ -240,28 +240,17 @@ class TestAllocation:
 
 
 class TestRunTo:
-    def test_t_target_zero(self):
-        cfg = small_config()
-        state = sl.smoothed_dambreak_ic(cfg)
-        snapshots, reports = sl.run_to(state, cfg, 0.0)
-        assert len(snapshots) == 1
-        assert snapshots[0].t == 0.0
-        assert reports == []
-
     def test_step_count(self):
         cfg = small_config()
         state = sl.smoothed_dambreak_ic(cfg)
-        _, reports = sl.run_to(state, cfg, 1.0)
+        _, reports = sl.run_to(state, cfg)
         assert len(reports) == round(1.0 / cfg.dt)
         assert state.t == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_final_step_rejected(self):
         # dt = 0.025: 0.26 s is 10.4 steps
-        cfg = small_config()
-        state = sl.smoothed_dambreak_ic(cfg)
         with pytest.raises(sl.ConfigError, match="t_end = 0.26 .*dt = 0.025"):
-            sl.run_to(state, cfg, 0.26)
-        assert state.step == 0 and state.work is None
+            small_config(t_end=0.26)
 
     def test_whole_steps_only(self):
         # a 0.2 m step keeps all 400 steps of dt = 0.1 dx positive
@@ -269,37 +258,54 @@ class TestRunTo:
         for _ in range(12):
             k = int(rng.integers(2, 7))
             dt_factor = float(rng.choice([0.005, 0.01, 0.1]))
-            n = int(rng.integers(0, 401))
+            n = int(rng.integers(1, 401))
             f = rng.uniform(0.01, 0.99)
-            cfg = small_config(h1=1.2, x0=10.0, domain_b=20.0,
-                               dx=10.0 / 2 ** k, dt_factor=dt_factor)
-            state = sl.smoothed_dambreak_ic(cfg)
+            marks = sorted({int(m) for m in rng.integers(0, n + 1, 3)})
+            dx = 10.0 / 2 ** k
+            dt = dt_factor * dx
+
+            def config(t_end, times):
+                return small_config(h1=1.2, x0=10.0, domain_b=20.0, dx=dx,
+                                    dt_factor=dt_factor, t_end=t_end,
+                                    snapshot_times=times)
+
+            times = [m * dt for m in marks]
             with pytest.raises(sl.ConfigError, match="t_end"):
-                sl.run_to(state, cfg, (n + f) * cfg.dt)
-            _, reports = sl.run_to(state, cfg, n * cfg.dt)
+                config((n + f) * dt, times)
+            for stray in ((marks[0] + f) * dt, -dt, (n + 1) * dt):
+                with pytest.raises(sl.ConfigError, match="snapshot_times"):
+                    config(n * dt, times + [stray])
+            cfg = config(n * dt, times)
+            assert cfg.n_cells == 2 ** (k + 1)  # 20 m of dx = 10 / 2^k
+            assert cfg.n_steps == n
+            assert cfg.snapshot_steps == set(marks) | {n}
+            state = sl.smoothed_dambreak_ic(cfg)
+            snapshots, reports = sl.run_to(state, cfg)
             assert len(reports) == state.step == n
-            assert state.t == n * cfg.dt
+            assert state.t == n * dt
+            assert [s.t for s in snapshots] == [
+                m * dt for m in sorted(set(marks) | {n})]
 
     def test_snapshot_times(self):
-        cfg = small_config()
+        cfg = small_config(snapshot_times=(0.5, 1.0))
         state = sl.smoothed_dambreak_ic(cfg)
-        snapshots, _ = sl.run_to(state, cfg, 1.0, snapshot_times=[0.5, 1.0])
+        snapshots, _ = sl.run_to(state, cfg)
         assert [s.t for s in snapshots] == pytest.approx([0.5, 1.0])
 
     def test_failure_carries_last_snapshot(self):
-        cfg = small_config(alpha=0.01, dx=12.5, dt_factor=2.0)
+        cfg = small_config(alpha=0.01, dx=12.5, dt_factor=2.0, t_end=1000.0,
+                           snapshot_times=(0.0,))
         state = sl.smoothed_dambreak_ic(cfg)
         with pytest.raises(sl.SolverError) as err:
-            sl.run_to(state, cfg, 1000.0, snapshot_times=[0.0])
+            sl.run_to(state, cfg)
         assert [s.t for s in err.value.snapshots] == [0.0]
         assert [r.step for r in err.value.reports] == list(
             range(1, err.value.step + 1))
 
     def test_snapshots_share_read_only_x(self):
-        cfg = small_config()
+        cfg = small_config(snapshot_times=(0.5, 1.0))
         state = sl.smoothed_dambreak_ic(cfg)
-        first, second = sl.run_to(state, cfg, 1.0,
-                                  snapshot_times=[0.5, 1.0])[0]
+        first, second = sl.run_to(state, cfg)[0]
         assert first.x is second.x is state.grid.x
         assert not first.x.flags.writeable
 
@@ -313,7 +319,7 @@ class TestGhostCells:
         cfg = small_config(scheme=scheme, x0=10.0, domain_b=20.0,
                            dx=0.3125, t_end=t_end)
         state = sl.smoothed_dambreak_ic(cfg)
-        sl.run_to(state, cfg, t_end)
+        sl.run_to(state, cfg)
         ng = state.grid.ghost_layers
         for arr, left, right in ((state.h, 1.8, 1.0),
                                  (state.h_prev, 1.8, 1.0),

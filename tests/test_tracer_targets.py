@@ -1,22 +1,32 @@
 """The benchmark drives serrelab from outside: its traced run wraps
-serrelab functions by name and its set-up probe calls them directly.  A
-name or call shape that changes in serrelab would crash those scripts, so
-it fails here."""
+serrelab functions by name, its set-up probe calls them directly and its
+workloads write config files and a manifest.  A name, call shape or input
+rule that changes in serrelab would crash those scripts, so it fails
+here."""
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
 
+import serrelab as sl
+from serrelab.cli import parse_manifest_file
+
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
-TRACER = os.path.join(BENCHMARKS, "tracer.py")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(BENCHMARKS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_functions_exist():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_script("tracer")
     assert tracer.TARGETS
     for module, function, _ in tracer.TARGETS:
         assert callable(getattr(
@@ -37,3 +47,21 @@ def test_setup_probe_reaches_first_step(tmp_path):
          str(config)], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ready\n"
+
+
+def test_workload_inputs_accepted(tmp_path, monkeypatch):
+    # workloads.py imports its sibling checks.py
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    workloads = load_script("workloads")
+    parsed = 0
+    for workload in workloads.WORKLOADS.values():
+        sl.parse_config_text(workload.setup_case.config_text())
+        for argv in workload.commands(str(tmp_path), str(tmp_path / "out")):
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            if "--config" in opts:
+                sl.parse_config_file(opts["--config"])
+                parsed += 1
+            if "--manifest" in opts:
+                parse_manifest_file(opts["--manifest"], opts["--out"])
+                parsed += 1
+    assert parsed == 3
