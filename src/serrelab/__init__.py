@@ -7,12 +7,10 @@ from .core import (ConfigError, Grid, SimConfig, Snapshot, State,
                    smoothed_dambreak_ic, take_snapshot)
 from .diagnostics import (DiagnosticsRecord, bore_means, classify_structure,
                           conservation_error, diagnose, l1_difference,
-                          leading_wave, oscillation_amplitude, totals,
-                          total_quantity)
+                          leading_wave, oscillation_amplitude, totals)
 from .reference import (RootBracketError, SwweSolution, WhithamPrediction,
-                        phase_velocity, solve_swwe_dambreak, swwe_profile,
-                        whitham_leading_wave)
-from .solvers import SolverError, StepReport, run_to, step
+                        solve_swwe_dambreak, swwe_profile, whitham_leading_wave)
+from .solvers import SolverError, run_to, step
 
 __version__ = "0.1.0"
 
@@ -23,8 +21,8 @@ __all__ = [
     "take_snapshot",
     "DiagnosticsRecord", "bore_means", "classify_structure",
     "conservation_error", "diagnose", "l1_difference", "leading_wave",
-    "oscillation_amplitude", "totals", "total_quantity",
-    "RootBracketError", "SwweSolution", "WhithamPrediction", "phase_velocity",
+    "oscillation_amplitude", "totals",
+    "RootBracketError", "SwweSolution", "WhithamPrediction",
     "solve_swwe_dambreak", "swwe_profile", "whitham_leading_wave",
-    "SolverError", "StepReport", "run_to", "step",
+    "SolverError", "run_to", "step",
 ]

@@ -83,18 +83,18 @@ def parse_window(text: str):
     return lo, hi
 
 
-def _write_stepping_output(out_dir: str, snapshots, reports) -> None:
+def _write_stepping_output(out_dir: str, snapshots, log) -> None:
     for snap in snapshots:
         io.write_snapshot(os.path.join(out_dir, io.snapshot_filename(snap.t)),
                           snap)
-    io.write_step_reports(os.path.join(out_dir, "step_report.csv"), reports)
+    io.write_step_reports(os.path.join(out_dir, "step_report.csv"), log)
 
 
 def execute_run(config: SimConfig, out_dir: str):
     """Run one simulation and write its full file set into out_dir.
 
-    A run that fails still writes the snapshots and step reports made
-    before the failure, but no diagnostics.csv.
+    A run that fails still writes the snapshots and step log made before
+    the failure, but no diagnostics.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
@@ -102,12 +102,11 @@ def execute_run(config: SimConfig, out_dir: str):
 
     try:
         # the state is not named, so it is freed before the output is written
-        snapshots, reports = solvers.run_to(smoothed_dambreak_ic(config),
-                                            config)
+        snapshots, log = solvers.run_to(smoothed_dambreak_ic(config), config)
     except solvers.SolverError as exc:
-        _write_stepping_output(out_dir, exc.snapshots, exc.reports)
+        _write_stepping_output(out_dir, exc.snapshots, exc.log)
         raise
-    _write_stepping_output(out_dir, snapshots, reports)
+    _write_stepping_output(out_dir, snapshots, log)
     try:
         totals_0 = analytic_totals(config)
     except ConfigError:  # x0 is not the domain midpoint
@@ -149,6 +148,8 @@ def _sweep_cell(manifest: ExperimentManifest, cell):
 
 
 def cmd_converge(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     manifest = parse_manifest_file(args.manifest, out_override=args.out)
     if args.scheme:
         manifest.base = replace(manifest.base, scheme=args.scheme)
@@ -171,8 +172,10 @@ def cmd_converge(args) -> int:
     cells = [(alpha, level) for alpha in manifest.alphas
              for level in manifest.levels]
     run_cell = partial(_sweep_cell, manifest)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers at the first submit
+    workers = min(args.workers, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, cells))
     else:
         outcomes = list(map(run_cell, cells))

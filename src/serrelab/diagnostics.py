@@ -11,8 +11,6 @@ import numpy as np
 from .core import Snapshot
 from .reference import SwweSolution
 
-QUANTITIES = ("h", "uh", "H")
-
 # 3-point Gauss-Legendre rule on [-1, 1]
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -105,13 +103,6 @@ def totals(snapshot: Snapshot, g: float = 9.81):
                     + g * h_vals ** 2)
     return tuple(float(np.cumsum((0.5 * dx) * (_GAUSS_WEIGHTS @ f))[-1])
                  for f in (h_vals, u_vals * h_vals, energy))
-
-
-def total_quantity(snapshot: Snapshot, quantity: str, g: float = 9.81) -> float:
-    """One entry of `totals`: the total of h, uh or H."""
-    if quantity not in QUANTITIES:
-        raise ValueError(f"quantity must be one of {QUANTITIES}")
-    return totals(snapshot, g)[QUANTITIES.index(quantity)]
 
 
 def conservation_error(totals_0, snapshot: Snapshot, g: float, totals_t):

@@ -37,10 +37,7 @@ def write_snapshot(path, snapshot: Snapshot) -> None:
                header="x,h,u", comments="")
 
 
-def read_snapshot(path, t: float | None = None) -> Snapshot:
-    if t is None:
-        m = _SNAPSHOT_RE.search(os.path.basename(str(path)))
-        t = float(m.group(1)) if m else 0.0
+def read_snapshot(path, t: float) -> Snapshot:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     return Snapshot(t=t, x=data[:, 0], h=data[:, 1], u=data[:, 2])
@@ -56,10 +53,10 @@ def list_snapshots(run_dir):
     return sorted(found)
 
 
-def write_step_reports(path, reports) -> None:
+def write_step_reports(path, log) -> None:
+    # %.17g prints the whole-number step and 0/1 flag columns as ints
     write_rows(path, ["step", "t", "min_h", "max_abs_u", "diag_dominant"],
-               ([r.step, r.t, r.min_h, r.max_abs_u, int(r.diag_dominant)]
-                for r in reports))
+               log.tolist())
 
 
 DIAGNOSTICS_COLUMNS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]

@@ -1,6 +1,5 @@
-"""Closed-form comparators: shallow-water dam-break solution, Whitham
-modulation leading-wave prediction, and the linearised dispersive phase
-velocity.
+"""Closed-form comparators: shallow-water dam-break solution and Whitham
+modulation leading-wave prediction.
 """
 from __future__ import annotations
 
@@ -158,19 +157,3 @@ def whitham_leading_wave(h0: float, h1: float, g: float = 9.81,
     s_plus = math.sqrt(g * h0 * (a + 1.0))
     return WhithamPrediction(h0=h0, h1=h1, g=g, x0=x0, h_b=h_b, delta=delta,
                              a_plus_dimless=a, A_plus=a_plus, S_plus=s_plus)
-
-
-def phase_velocity(h_bar: float, u_bar: float, k: float, g: float = 9.81,
-                   branch: int = +1) -> float:
-    """Phase velocity of the linearised dispersive equations.
-
-    k = 0 gives u +- sqrt(g h); k -> infinity tends to u.
-    """
-    if not h_bar > 0:
-        raise ValueError("need h_bar > 0")
-    if k < 0:
-        raise ValueError("need k >= 0")
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return u_bar + branch * math.sqrt(g * h_bar) * math.sqrt(
-        3.0 / (h_bar ** 2 * k ** 2 + 3.0))

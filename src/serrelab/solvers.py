@@ -15,7 +15,6 @@ bit-identical to evaluating those formulas directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -27,7 +26,7 @@ class SolverError(RuntimeError):
     """Fatal stepping failure (positivity loss, non-finite values,
     singular momentum system).
 
-    run_to attaches the snapshots and step reports made before the
+    run_to attaches the snapshots and the step log made before the
     failure, so that the caller can keep them.
     """
 
@@ -35,16 +34,7 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.snapshots = []
-        self.reports = []
-
-
-@dataclass(frozen=True)
-class StepReport:
-    step: int
-    t: float
-    min_h: float
-    max_abs_u: float
-    diag_dominant: bool
+        self.log = np.empty((0, 5))
 
 
 class Workspace:
@@ -298,9 +288,11 @@ def apply_euler_bootstrap(state: State, config: SimConfig) -> None:
     np.multiply(u_rate2dt, -0.5, out=state.u_prev[c])
 
 
-def step(state: State, config: SimConfig) -> StepReport:
+def step(state: State, config: SimConfig):
     """Advance one step of config.dt with the configured scheme; rotates
     time levels.
+
+    Returns the step's log row (step, t, min_h, max_abs_u, diag_dominant).
 
     Writes interiors only: the ghost cells keep the Dirichlet data of the
     initial condition.  On SolverError the state is left as it was.
@@ -332,28 +324,28 @@ def step(state: State, config: SimConfig) -> StepReport:
     state.step += 1
     # step counter, not accumulated t, to avoid drift over ~1e5 steps
     state.t = state.step * config.dt
-    return StepReport(step=state.step, t=state.t, min_h=min_h,
-                      max_abs_u=max_abs_u, diag_dominant=dominant)
+    return state.step, state.t, min_h, max_abs_u, dominant
 
 
 def run_to(state: State, config: SimConfig):
     """Step the initial state to config.t_end, with a snapshot at each of
     config.snapshot_steps.
 
-    Returns (snapshots, reports).  On solver failure the error carries the
-    snapshots and reports made so far.
+    Returns (snapshots, log): row i of the log is step i + 1's
+    (step, t, min_h, max_abs_u, diag_dominant).  On solver failure the
+    error carries the snapshots and the log rows made so far.
     """
     snapshots = []
-    reports = []
+    log = np.empty((config.n_steps, 5))
     try:
         apply_euler_bootstrap(state, config)
         if 0 in config.snapshot_steps:
             snapshots.append(take_snapshot(state))
-        for _ in range(config.n_steps):
-            reports.append(step(state, config))
+        for i in range(config.n_steps):
+            log[i] = step(state, config)
             if state.step in config.snapshot_steps:
                 snapshots.append(take_snapshot(state))
     except SolverError as exc:
-        exc.snapshots, exc.reports = snapshots, reports
+        exc.snapshots, exc.log = snapshots, log[:state.step]
         raise
-    return snapshots, reports
+    return snapshots, log

@@ -41,13 +41,13 @@ def test_criterion_3_quadrature_exactness():
                           (np.array([0.5, 0, 0, 4.0, 0]), 1.5)):
         h = np.polyval(coeffs[::-1], x)
         snap = sl.Snapshot(t=0.0, x=x, h=h, u=np.zeros(n))
-        assert abs(sl.total_quantity(snap, "h") - exact) <= 1e-12 * abs(exact)
+        assert abs(sl.totals(snap)[0] - exact) <= 1e-12 * abs(exact)
 
     # corrected closed-form energy total vs quadrature of the alpha = 2 IC
     cfg = make_config(2.0, 6, 30.0)
     snap = sl.take_snapshot(sl.smoothed_dambreak_ic(cfg))
     _, _, c_ham = sl.analytic_totals(cfg)
-    quad = sl.total_quantity(snap, "H", cfg.g)
+    quad = sl.totals(snap, cfg.g)[2]
     assert abs(quad - c_ham) / abs(c_ham) <= 1e-8
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import serrelab as sl
-from serrelab import io
+from serrelab import cli, io
 from serrelab.cli import main
 
 
@@ -58,9 +58,9 @@ class TestRun:
         assert {row[4] for row in rows[1:]} == {"1"}
 
     def test_step_report_flags_lost_dominance(self, tmp_path):
-        reports = [sl.StepReport(1, 0.1, 1.0, 0.5, True),
-                   sl.StepReport(2, 0.2, 1.0, 0.5, False)]
-        io.write_step_reports(tmp_path / "r.csv", reports)
+        log = np.array([[1, 0.1, 1.0, 0.5, True],
+                        [2, 0.2, 1.0, 0.5, False]])
+        io.write_step_reports(tmp_path / "r.csv", log)
         rows = read_csv(tmp_path / "r.csv")
         assert [row[4] for row in rows[1:]] == ["1", "0"]
 
@@ -96,7 +96,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         failed_at = int(err.split("failed at step ")[1].split(":")[0])
-        snap = io.read_snapshot(out / "snapshot_0.csv")
+        snap = io.read_snapshot(out / "snapshot_0.csv", t=0.0)
         assert snap.t == 0.0 and np.all(snap.u == 0.0)
         rows = read_csv(out / "step_report.csv")
         assert [int(row[0]) for row in rows[1:]] == list(
@@ -281,6 +281,45 @@ class TestConverge:
         assert main(["converge", "--manifest", str(man),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # the pool forks all max_workers processes at its first submit;
+        # this stand-in records the count and maps in this process
+        counts = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                counts.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        man = write_manifest(tmp_path / "m.txt", alphas="40")
+        out_a, out_b = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["converge", "--manifest", str(man), "--out", str(out_a),
+                     "--workers", "1"]) == 0
+        assert counts == []
+        assert main(["converge", "--manifest", str(man), "--out", str(out_b),
+                     "--workers", "64"]) == 0
+        assert counts == [2]  # one alpha at levels 3 and 4
+        assert ((out_a / "convergence.csv").read_bytes()
+                == (out_b / "convergence.csv").read_bytes())
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        man = write_manifest(tmp_path / "m.txt")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man), "--out", str(out),
+                     f"--workers={workers}"]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_bore_comparison_row(self, tmp_path):
@@ -341,7 +380,7 @@ class TestCsvRoundTrip:
         out = tmp_path / "out"
         main(["run", "--config", str(cfg), "--out", str(out)])
         state_cfg = sl.parse_config_file(out / "config.txt")
-        snap = io.read_snapshot(out / "snapshot_1.csv")
+        snap = io.read_snapshot(out / "snapshot_1.csv", t=1.0)
         again = tmp_path / "again.csv"
         io.write_snapshot(again, snap)
         assert again.read_bytes() == (out / "snapshot_1.csv").read_bytes()

@@ -20,24 +20,24 @@ class TestTotalQuantity:
     def test_constant_depth(self):
         snap = snapshot_on(0.0, 10.0, 40, lambda x: np.full_like(x, 1.4),
                            lambda x: np.zeros_like(x))
-        assert sl.total_quantity(snap, "h") == pytest.approx(14.0, rel=1e-13)
+        assert sl.totals(snap)[0] == pytest.approx(14.0, rel=1e-13)
 
     def test_quartic_exact(self):
         snap = snapshot_on(0.0, 1.0, 50, lambda x: x ** 4,
                            lambda x: np.zeros_like(x))
-        assert sl.total_quantity(snap, "h") == pytest.approx(0.2, rel=1e-12)
+        assert sl.totals(snap)[0] == pytest.approx(0.2, rel=1e-12)
 
     def test_product_polynomial_exact(self):
         # h and u quadratic: the uh integrand is quartic, still exact
         snap = snapshot_on(0.0, 1.0, 50, lambda x: 1.0 + x ** 2,
                            lambda x: x ** 2)
         exact = 1.0 / 3.0 + 1.0 / 5.0
-        assert sl.total_quantity(snap, "uh") == pytest.approx(exact, rel=1e-12)
+        assert sl.totals(snap)[1] == pytest.approx(exact, rel=1e-12)
 
     def test_energy_of_still_water(self):
         snap = snapshot_on(0.0, 10.0, 40, lambda x: np.full_like(x, 2.0),
                            lambda x: np.zeros_like(x))
-        assert sl.total_quantity(snap, "H", g=9.81) == pytest.approx(
+        assert sl.totals(snap, g=9.81)[2] == pytest.approx(
             0.5 * 9.81 * 4.0 * 10.0, rel=1e-13)
 
     def test_energy_includes_shear_term(self):
@@ -45,20 +45,14 @@ class TestTotalQuantity:
         snap = snapshot_on(0.0, 1.0, 50, lambda x: np.ones_like(x),
                            lambda x: x)
         exact = 0.5 * (1.0 / 3.0 + 1.0 / 3.0 + 9.81)
-        assert sl.total_quantity(snap, "H", g=9.81) == pytest.approx(
+        assert sl.totals(snap, g=9.81)[2] == pytest.approx(
             exact, rel=1e-12)
 
     def test_too_few_cells_rejected(self):
         snap = snapshot_on(0.0, 1.0, 4, lambda x: np.ones_like(x),
                            lambda x: np.zeros_like(x))
         with pytest.raises(ValueError):
-            sl.total_quantity(snap, "h")
-
-    def test_unknown_quantity_rejected(self):
-        snap = snapshot_on(0.0, 1.0, 8, lambda x: np.ones_like(x),
-                           lambda x: np.zeros_like(x))
-        with pytest.raises(ValueError):
-            sl.total_quantity(snap, "momentum")
+            sl.totals(snap)
 
 
 def three_pass_totals(snapshot, g):
@@ -94,8 +88,6 @@ class TestTotals:
                            lambda x: 1.0 + 0.3 * rng.random(len(x)),
                            lambda x: rng.standard_normal(len(x)))
         assert sl.totals(snap, 3.7) == three_pass_totals(snap, 3.7)
-        assert [sl.total_quantity(snap, q, 3.7) for q in ("h", "uh", "H")] \
-            == list(three_pass_totals(snap, 3.7))
 
 
 class TestConservationError:

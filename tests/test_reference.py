@@ -119,31 +119,3 @@ class TestWhitham:
         from serrelab.reference import _bisect
         with pytest.raises(sl.RootBracketError):
             _bisect(lambda s: s * s + 1.0, 0.0, 1.0)
-
-
-class TestPhaseVelocity:
-    def test_long_wave_limit(self):
-        assert sl.phase_velocity(1.4, 1.0, 0.0, 9.81, branch=+1) == \
-            pytest.approx(1.0 + math.sqrt(9.81 * 1.4), rel=1e-14)
-        assert sl.phase_velocity(1.4, 1.0, 0.0, 9.81, branch=-1) == \
-            pytest.approx(1.0 - math.sqrt(9.81 * 1.4), rel=1e-14)
-
-    def test_short_wave_limit(self):
-        assert sl.phase_velocity(1.4, 1.0, 1e8, 9.81) == \
-            pytest.approx(1.0, abs=1e-6)
-
-    def test_extended_precision_value(self):
-        import mpmath
-        mpmath.mp.dps = 40
-        h, u, k, g = mpmath.mpf("1.37"), mpmath.mpf("1.07"), 2, mpmath.mpf("9.81")
-        exact = u + mpmath.sqrt(g * h) * mpmath.sqrt(3 / (h ** 2 * k ** 2 + 3))
-        got = sl.phase_velocity(1.37, 1.07, 2.0, 9.81, branch=+1)
-        assert got == pytest.approx(float(exact), rel=1e-14)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            sl.phase_velocity(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            sl.phase_velocity(1.0, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            sl.phase_velocity(1.0, 0.0, 1.0, branch=0)

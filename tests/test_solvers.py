@@ -212,8 +212,8 @@ class TestStep:
         cfg = small_config()
         state = sl.smoothed_dambreak_ic(cfg)
         for _ in range(7):
-            report = sl.step(state, cfg)
-        assert report.step == 7
+            row = sl.step(state, cfg)
+        assert row[:2] == (7, 7 * cfg.dt)
         assert state.t == 7 * cfg.dt
 
 
@@ -238,13 +238,32 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak - base < 8 * n
 
+    def test_run_to_keeps_a_compact_log(self):
+        # one step's log row is five float64s: 40 B, against the 224 B of
+        # one object per step
+        def kept(t_end):
+            cfg = small_config(t_end=t_end)
+            state = sl.smoothed_dambreak_ic(cfg)
+            tracemalloc.start()
+            try:
+                result = sl.run_to(state, cfg)
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(result[1]) == cfg.n_steps
+            return cfg.n_steps, size
+
+        n_short, short = kept(10.0)
+        n_long, long = kept(50.0)
+        assert (long - short) / (n_long - n_short) <= 48
+
 
 class TestRunTo:
     def test_step_count(self):
         cfg = small_config()
         state = sl.smoothed_dambreak_ic(cfg)
-        _, reports = sl.run_to(state, cfg)
-        assert len(reports) == round(1.0 / cfg.dt)
+        _, log = sl.run_to(state, cfg)
+        assert len(log) == round(1.0 / cfg.dt)
         assert state.t == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_final_step_rejected(self):
@@ -280,8 +299,9 @@ class TestRunTo:
             assert cfg.n_steps == n
             assert cfg.snapshot_steps == set(marks) | {n}
             state = sl.smoothed_dambreak_ic(cfg)
-            snapshots, reports = sl.run_to(state, cfg)
-            assert len(reports) == state.step == n
+            snapshots, log = sl.run_to(state, cfg)
+            assert len(log) == state.step == n
+            assert list(log[:, 0]) == list(range(1, n + 1))
             assert state.t == n * dt
             assert [s.t for s in snapshots] == [
                 m * dt for m in sorted(set(marks) | {n})]
@@ -299,7 +319,7 @@ class TestRunTo:
         with pytest.raises(sl.SolverError) as err:
             sl.run_to(state, cfg)
         assert [s.t for s in err.value.snapshots] == [0.0]
-        assert [r.step for r in err.value.reports] == list(
+        assert list(err.value.log[:, 0]) == list(
             range(1, err.value.step + 1))
 
     def test_snapshots_share_read_only_x(self):
