@@ -6,12 +6,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from . import diagnostics, io, reference, solvers
 from .core import (CONFIG_KEYS, REQUIRED_KEYS, ConfigError, SimConfig,
@@ -30,33 +29,30 @@ MANIFEST_REQUIRED = tuple(k for k in REQUIRED_KEYS if k not in _SWEPT) + (
     "alphas", "levels")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentManifest:
     """Sweep of smoothing lengths and refinement levels (dx = 10 / 2^k)."""
 
-    base: SimConfig      # the first cell's; config() sets alpha and dx
     alphas: tuple
     levels: tuple
-    out_dir: str
-    exclude_window: tuple | None = None
-
-    def config(self, alpha: float, level: int) -> SimConfig:
-        return replace(self.base, alpha=alpha, dx=level_dx(level))
-
-    def cell_dir(self, alpha: float, level: int) -> str:
-        return os.path.join(self.out_dir, io.fmt(alpha), str(level))
+    exclude_window: tuple | None
+    configs: dict        # (alpha, level) -> the cell's SimConfig, in order
 
 
 def level_dx(level: int) -> float:
     return 10.0 / 2 ** level
 
 
-def parse_manifest_file(path, out_override=None) -> ExperimentManifest:
+def parse_manifest_file(path) -> ExperimentManifest:
+    """Parse a manifest and build every cell's SimConfig, so that a bad
+    cell fails here, before the sweep writes anything."""
     with open(path) as fh:
         values = parse_key_values(fh.read(), MANIFEST_KEYS, MANIFEST_REQUIRED)
 
     alphas = tuple(float(a) for a in values.pop("alphas").split(","))
     levels = tuple(int(k) for k in values.pop("levels").split(","))
+    if len(set(alphas)) < len(alphas):
+        raise ConfigError("alphas must be distinct")
     if len(levels) < 2:
         raise ConfigError("need at least 2 refinement levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -64,13 +60,10 @@ def parse_manifest_file(path, out_override=None) -> ExperimentManifest:
     window = values.pop("exclude_window", "").strip()
     exclude = parse_window(window) if window else None
     base = {key: _parse_value(key, raw) for key, raw in values.items()}
-    out_dir = base.pop("out_dir", None)
-    out_dir = out_override or out_dir
-    if not out_dir:
-        raise ConfigError("missing key: out_dir")
-    base = SimConfig(alpha=alphas[0], dx=level_dx(levels[0]), **base)
-    return ExperimentManifest(base=base, alphas=alphas, levels=levels,
-                              out_dir=out_dir, exclude_window=exclude)
+    configs = {(alpha, level): SimConfig(alpha=alpha, dx=level_dx(level),
+                                         **base)
+               for alpha in alphas for level in levels}
+    return ExperimentManifest(alphas, levels, exclude, configs)
 
 
 def parse_window(text: str):
@@ -83,30 +76,36 @@ def parse_window(text: str):
     return lo, hi
 
 
-def _write_stepping_output(out_dir: str, snapshots, log) -> None:
+def _refuse_used_dir(path: str, record: str) -> None:
+    """One run per directory: refuse an --out that already holds one."""
+    if os.path.exists(os.path.join(path, record)):
+        raise ConfigError(f"{path} already holds {record}; pass a new --out")
+
+
+def _write_stepping_output(run_dir: str, snapshots, log) -> None:
     for snap in snapshots:
-        io.write_snapshot(os.path.join(out_dir, io.snapshot_filename(snap.t)),
+        io.write_snapshot(os.path.join(run_dir, io.snapshot_filename(snap.t)),
                           snap)
-    io.write_step_reports(os.path.join(out_dir, "step_report.csv"), log)
+    io.write_step_reports(os.path.join(run_dir, "step_report.csv"), log)
 
 
-def execute_run(config: SimConfig, out_dir: str):
-    """Run one simulation and write its full file set into out_dir.
+def execute_run(config: SimConfig, run_dir: str):
+    """Run one simulation and write its full file set into run_dir.
 
     A run that fails still writes the snapshots and step log made before
     the failure, but no diagnostics.csv.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, "config.txt"), "w") as fh:
         fh.write(format_config(config))
 
     try:
         # the state is not named, so it is freed before the output is written
         snapshots, log = solvers.run_to(smoothed_dambreak_ic(config), config)
     except solvers.SolverError as exc:
-        _write_stepping_output(out_dir, exc.snapshots, exc.log)
+        _write_stepping_output(run_dir, exc.snapshots, exc.log)
         raise
-    _write_stepping_output(out_dir, snapshots, log)
+    _write_stepping_output(run_dir, snapshots, log)
     try:
         totals_0 = analytic_totals(config)
     except ConfigError:  # x0 is not the domain midpoint
@@ -117,31 +116,25 @@ def execute_run(config: SimConfig, out_dir: str):
                                             x0=config.x0)
     records = [diagnostics.diagnose(snap, config.g, totals_0=totals_0, sol=sol)
                for snap in snapshots]
-    io.write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), records)
+    io.write_diagnostics(os.path.join(run_dir, "diagnostics.csv"), records)
     return snapshots, records
 
 
 def cmd_run(args) -> int:
     config = parse_config_file(args.config)
-    overrides = {}
-    if args.scheme:
-        overrides["scheme"] = args.scheme
-    if args.out:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = replace(config, **overrides)
-    if not config.out_dir:
-        raise ConfigError("missing key: out_dir (set it or pass --out)")
-    execute_run(config, config.out_dir)
-    print(f"run complete: {config.out_dir}")
+    _refuse_used_dir(args.out, "config.txt")
+    execute_run(config, args.out)
+    print(f"run complete: {args.out}")
     return EXIT_OK
 
 
-def _sweep_cell(manifest: ExperimentManifest, cell):
+def _sweep_cell(manifest: ExperimentManifest, sweep_dir: str, cell):
     """Last snapshot and record of one (alpha, level) cell, or its error."""
+    alpha, level = cell
     try:
-        snapshots, records = execute_run(manifest.config(*cell),
-                                         manifest.cell_dir(*cell))
+        snapshots, records = execute_run(
+            manifest.configs[cell],
+            os.path.join(sweep_dir, io.fmt(alpha), str(level)))
     except solvers.SolverError as exc:
         return str(exc)
     return snapshots[-1], records[-1]
@@ -150,28 +143,14 @@ def _sweep_cell(manifest: ExperimentManifest, cell):
 def cmd_converge(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    manifest = parse_manifest_file(args.manifest, out_override=args.out)
-    if args.scheme:
-        manifest.base = replace(manifest.base, scheme=args.scheme)
-    exclude = manifest.exclude_window
-    if args.exclude_window:
-        exclude = parse_window(args.exclude_window)
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    with open(args.manifest) as fh:
-        lines = fh.read().split("\n")
-    # record the scheme and the output directory that run, not the ones
-    # the manifest names
-    ran = {"scheme": args.scheme, "out_dir": args.out}
-    for i, line in enumerate(lines):
-        key = line.partition("=")[0].strip()
-        if ran.get(key):
-            lines[i] = f"{key} = {ran[key]}"
-    with open(os.path.join(manifest.out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines))
+    manifest = parse_manifest_file(args.manifest)
+    sweep_dir = args.out
+    _refuse_used_dir(sweep_dir, "manifest.txt")
+    os.makedirs(sweep_dir, exist_ok=True)
+    shutil.copyfile(args.manifest, os.path.join(sweep_dir, "manifest.txt"))
 
-    cells = [(alpha, level) for alpha in manifest.alphas
-             for level in manifest.levels]
-    run_cell = partial(_sweep_cell, manifest)
+    cells = list(manifest.configs)
+    run_cell = partial(_sweep_cell, manifest, sweep_dir)
     # the pool forks all its workers at the first submit
     workers = min(args.workers, len(cells))
     if workers > 1:
@@ -184,6 +163,7 @@ def cmd_converge(args) -> int:
     results = {cell: out for cell, out in zip(cells, outcomes)
                if not isinstance(out, str)}
 
+    exclude = manifest.exclude_window
     window_label = f"{exclude[0]},{exclude[1]}" if exclude else ""
     table_rows = []
     rate_rows = []
@@ -211,11 +191,11 @@ def cmd_converge(args) -> int:
                               math.log2(la[0] / lb[0]) if lb[0] > 0 else float("nan"),
                               math.log2(la[1] / lb[1]) if lb[1] > 0 else float("nan")])
 
-    io.write_rows(os.path.join(manifest.out_dir, "convergence.csv"),
+    io.write_rows(os.path.join(sweep_dir, "convergence.csv"),
                   io.CONVERGENCE_COLUMNS,
                   ([row.get(c) for c in io.CONVERGENCE_COLUMNS]
                    for row in table_rows))
-    io.write_rows(os.path.join(manifest.out_dir, "rates.csv"),
+    io.write_rows(os.path.join(sweep_dir, "rates.csv"),
                   ["alpha", "dx_coarse", "dx_fine", "rate_h", "rate_u"],
                   rate_rows)
     for alpha, k, msg in failed:
@@ -224,21 +204,20 @@ def cmd_converge(args) -> int:
     if failed:
         print("convergence table written with partial results", file=sys.stderr)
         return EXIT_SOLVER
-    print(f"converge complete: {manifest.out_dir}")
+    print(f"converge complete: {sweep_dir}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     run_dir = args.run_dir
     config = parse_config_file(os.path.join(run_dir, "config.txt"))
-    snaps = io.list_snapshots(run_dir)
-    if not snaps:
-        raise ConfigError(f"no snapshots in {run_dir}")
-    t, path = snaps[-1]
-    snap = io.read_snapshot(path, t=t)
+    # the name the stepper gave the t_end snapshot: state.step * dt
+    t = config.n_steps * config.dt
+    snap = io.read_snapshot(os.path.join(run_dir, io.snapshot_filename(t)),
+                            t=t)
     out_path = os.path.join(run_dir, "compare.csv")
 
-    if not config.h1 > config.h0 or t <= 0:
+    if not config.h1 > config.h0:
         io.write_rows(out_path, ["result"], [["no bore"]])
         print(f"compare complete: {out_path}")
         return EXIT_OK
@@ -286,18 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one simulation from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--scheme", choices=("D", "E"), default=None)
+    p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("converge",
                             help="nested-grid sweep with L1/C1 table")
     p_conv.add_argument("--manifest", required=True)
-    p_conv.add_argument("--out", default=None)
+    p_conv.add_argument("--out", required=True)
     p_conv.add_argument("--workers", type=int, default=1)
-    p_conv.add_argument("--scheme", choices=("D", "E"), default=None)
-    p_conv.add_argument("--exclude-window", default=None,
-                        metavar="LO,HI")
     p_conv.set_defaults(func=cmd_converge)
 
     p_cmp = sub.add_parser("compare",

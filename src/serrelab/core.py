@@ -16,7 +16,7 @@ SCHEMES = ("D", "E")
 # keys accepted in plain-text config files, in canonical order
 CONFIG_KEYS = (
     "h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx", "dt_factor",
-    "t_end", "g", "scheme", "out_dir", "snapshot_times",
+    "t_end", "g", "scheme", "snapshot_times",
 )
 REQUIRED_KEYS = ("h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx",
                  "t_end", "scheme")
@@ -53,7 +53,6 @@ class SimConfig:
     scheme: str = "D"            # D: leapfrog mass update, E: Lax-Wendroff
     dt_factor: float = 0.01      # dt = dt_factor * dx
     g: float = 9.81
-    out_dir: str | None = None
     snapshot_times: tuple = ()
     # set by validate(); snapshot_steps includes n_steps
     n_cells: int = field(init=False, repr=False)
@@ -237,8 +236,6 @@ def analytic_totals(config: SimConfig) -> tuple[float, float, float]:
 def _parse_value(key: str, raw: str):
     if key == "scheme":
         return raw.strip()
-    if key == "out_dir":
-        return raw.strip() or None
     if key == "snapshot_times":
         raw = raw.strip()
         if not raw:
@@ -298,11 +295,7 @@ def format_config(config: SimConfig) -> str:
         val = getattr(config, key)
         if key == "snapshot_times":
             val = ",".join(repr(t) for t in val)
-        elif key == "out_dir":
-            val = val or ""
-        elif key == "scheme":
-            pass
-        else:
+        elif key != "scheme":
             val = repr(float(val))
         lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import os
-import re
 
 import numpy as np
 
@@ -28,9 +26,6 @@ def snapshot_filename(t: float) -> str:
     return f"snapshot_{fmt(t)}.csv"
 
 
-_SNAPSHOT_RE = re.compile(r"snapshot_(.+)\.csv$")
-
-
 def write_snapshot(path, snapshot: Snapshot) -> None:
     np.savetxt(path, np.column_stack((snapshot.x, snapshot.h, snapshot.u)),
                fmt=FLOAT_FMT, delimiter=",", newline="\r\n",
@@ -41,16 +36,6 @@ def read_snapshot(path, t: float) -> Snapshot:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     return Snapshot(t=t, x=data[:, 0], h=data[:, 1], u=data[:, 2])
-
-
-def list_snapshots(run_dir):
-    """(t, path) pairs of every snapshot CSV in a run directory, by time."""
-    found = []
-    for name in os.listdir(run_dir):
-        m = _SNAPSHOT_RE.match(name)
-        if m:
-            found.append((float(m.group(1)), os.path.join(run_dir, name)))
-    return sorted(found)
 
 
 def write_step_reports(path, log) -> None:

@@ -26,13 +26,14 @@ class SolverError(RuntimeError):
     """Fatal stepping failure (positivity loss, non-finite values,
     singular momentum system).
 
-    run_to attaches the snapshots and the step log made before the
-    failure, so that the caller can keep them.
+    run_to attaches the number of steps completed before the failure, and
+    the snapshots and the step log made by then, so that the caller can
+    keep them.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.step = step
+        self.step = None
         self.snapshots = []
         self.log = np.empty((0, 5))
 
@@ -203,14 +204,9 @@ def momentum_update(state: State, config: SimConfig):
     off += np.abs(sup, out=work.b)
     dominant = bool(np.greater(np.abs(diag, out=work.b), off,
                                out=work.mask).all())
-    try:
-        u_next = solve_tridiagonal(sub, diag, sup, rhs, overwrite=True)
-    except SolverError as exc:
-        exc.step = state.step
-        raise
+    u_next = solve_tridiagonal(sub, diag, sup, rhs, overwrite=True)
     if not np.isfinite(u_next, out=work.mask).all():
-        raise SolverError("non-finite velocity after momentum solve",
-                          step=state.step)
+        raise SolverError("non-finite velocity after momentum solve")
     return u_next, dominant
 
 
@@ -309,10 +305,9 @@ def step(state: State, config: SimConfig):
 
     min_h = float(h_next.min())
     if not (math.isfinite(min_h) and math.isfinite(h_next.max())):
-        raise SolverError("non-finite depth after mass update", step=state.step)
+        raise SolverError("non-finite depth after mass update")
     if not min_h > 0.0:
-        raise SolverError(f"depth positivity lost (min h = {min_h:.3e})",
-                          step=state.step)
+        raise SolverError(f"depth positivity lost (min h = {min_h:.3e})")
     max_abs_u = float(np.abs(u_next, out=work.a).max())
 
     # rotate levels n -> n-1
@@ -333,7 +328,8 @@ def run_to(state: State, config: SimConfig):
 
     Returns (snapshots, log): row i of the log is step i + 1's
     (step, t, min_h, max_abs_u, diag_dominant).  On solver failure the
-    error carries the snapshots and the log rows made so far.
+    error carries the number of steps completed (its step, equal to the
+    length of its log), and the snapshots and the log rows made so far.
     """
     snapshots = []
     log = np.empty((config.n_steps, 5))
@@ -346,6 +342,7 @@ def run_to(state: State, config: SimConfig):
             if state.step in config.snapshot_steps:
                 snapshots.append(take_snapshot(state))
     except SolverError as exc:
-        exc.snapshots, exc.log = snapshots, log[:state.step]
+        exc.step, exc.snapshots = state.step, snapshots
+        exc.log = log[:state.step]
         raise
     return snapshots, log

@@ -76,11 +76,17 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_scheme_override(self, tmp_path):
+    def test_one_run_per_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt")
         out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out), "--scheme", "E"])
-        assert "scheme = E" in (out / "config.txt").read_text()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # a rerun that would fail must not mix its files into the first run's
+        bad = write_config(tmp_path / "bad.txt", alpha=0.01, dx=12.5,
+                           dt_factor=2.0, t_end=100.0, snapshot_times=None)
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert "already holds config.txt" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_solver_failure_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", alpha=0.01, dx=12.5,
@@ -173,33 +179,34 @@ class TestConverge:
                 == (out_b / "convergence.csv").read_bytes())
 
     def test_exclude_window_recorded(self, tmp_path):
-        man = write_manifest(tmp_path / "m.txt", alphas="40")
+        man = write_manifest(tmp_path / "m.txt", alphas="40",
+                             exclude_window="520,540")
         out = tmp_path / "sweep"
-        main(["converge", "--manifest", str(man), "--out", str(out),
-              "--exclude-window", "520,540"])
+        main(["converge", "--manifest", str(man), "--out", str(out)])
         table = read_csv(out / "convergence.csv")
         assert table[1][-1] == "520.0,540.0"
 
-    def test_scheme_override_recorded_in_manifest(self, tmp_path):
+    def test_manifest_copied_verbatim(self, tmp_path):
         man = write_manifest(tmp_path / "m.txt", alphas="40")
+        with open(man, "a", newline="") as fh:
+            fh.write("# no newline at the end, a CRLF line before\r\n"
+                     "exclude_window = 520, 540")
         out = tmp_path / "sweep"
-        assert main(["converge", "--manifest", str(man), "--out", str(out),
-                     "--scheme", "E"]) == 0
-        lines = (out / "manifest.txt").read_text().splitlines()
-        assert "scheme = E" in lines
-        assert "scheme = D" not in lines
-        assert "scheme = E" in (out / "40" / "3" / "config.txt").read_text()
-
-    def test_out_override_recorded_in_manifest(self, tmp_path):
-        out_a, out_b = tmp_path / "declared", tmp_path / "actual"
-        man = write_manifest(tmp_path / "m.txt", alphas="40",
-                             out_dir=str(out_a))
         assert main(["converge", "--manifest", str(man),
-                     "--out", str(out_b)]) == 0
-        lines = (out_b / "manifest.txt").read_text().splitlines()
-        assert f"out_dir = {out_b}" in lines
-        assert f"out_dir = {out_a}" not in lines
-        assert not out_a.exists()
+                     "--out", str(out)]) == 0
+        assert (out / "manifest.txt").read_bytes() == man.read_bytes()
+        assert "out_dir" not in (out / "40" / "3" / "config.txt").read_text()
+
+    def test_one_sweep_per_directory(self, tmp_path, capsys):
+        man = write_manifest(tmp_path / "m.txt")
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "manifest.txt").write_text("an earlier sweep's\n")
+        assert main(["converge", "--manifest", str(man),
+                     "--out", str(out)]) == 2
+        assert "already holds manifest.txt" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+        assert (out / "manifest.txt").read_text() == "an earlier sweep's\n"
 
     @pytest.mark.parametrize("line, named", [
         ("viscosity = 1", "unknown key: viscosity"),
@@ -207,6 +214,7 @@ class TestConverge:
         ("levels 3,4", "line 10"),
         ("g = heavy", "bad value for g"),
         ("alpha = 0.4", "unknown key: alpha"),
+        ("out_dir = x", "unknown key: out_dir"),
     ])
     def test_bad_manifest_line_exit_2(self, tmp_path, capsys, line, named):
         man = write_manifest(tmp_path / "m.txt")
@@ -268,6 +276,25 @@ class TestConverge:
         assert main(["converge", "--manifest", str(man), "--out", str(out),
                      "--workers", workers]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_every_cell_checked_before_output(self, tmp_path, capsys,
+                                              workers):
+        # the first alpha's cells are valid; the second alpha is not
+        man = write_manifest(tmp_path / "m.txt", alphas="40,-1")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man), "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_alpha_exit_2(self, tmp_path, capsys):
+        man = write_manifest(tmp_path / "m.txt", alphas="40,2,40")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man),
+                     "--out", str(out)]) == 2
+        assert "alphas must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_levels_exit_2(self, tmp_path, capsys):
@@ -334,6 +361,26 @@ class TestCompare:
         sol = sl.solve_swwe_dambreak(1.0, 1.8, 9.81, x0=50.0)
         assert values["h2"] == pytest.approx(sol.h2, rel=1e-12)
         assert values["x_S2"] == pytest.approx(sol.x_shock(3.0), rel=1e-12)
+
+    def test_reads_the_t_end_snapshot(self, tmp_path):
+        cfg = write_config(tmp_path / "c.txt", alpha=0.5, t_end=3.0,
+                           snapshot_times="3.0")
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        # a stray later snapshot is not the run that config.txt describes
+        (out / "snapshot_99.csv").write_bytes(
+            (out / "snapshot_3.csv").read_bytes())
+        assert main(["compare", str(out)]) == 0
+        rows = read_csv(out / "compare.csv")
+        assert float(dict(zip(*rows))["t"]) == 3.0
+
+    def test_missing_t_end_snapshot_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt")
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        (out / "snapshot_1.csv").unlink()
+        assert main(["compare", str(out)]) == 2
+        assert "snapshot_1.csv" in capsys.readouterr().err
 
     def test_still_basin_no_bore(self, tmp_path):
         cfg = write_config(tmp_path / "c.txt", h1=1.0)

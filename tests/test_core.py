@@ -148,12 +148,10 @@ class TestAnalyticTotals:
 
 class TestConfigFormat:
     def test_round_trip(self):
-        cfg = base_config(t_end=30.0, snapshot_times=(3.0, 30.0),
-                          out_dir="runs/a")
+        cfg = base_config(t_end=30.0, snapshot_times=(3.0, 30.0))
         again = sl.parse_config_text(sl.format_config(cfg))
         for key in ("h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx",
-                    "dt_factor", "t_end", "g", "scheme", "out_dir",
-                    "snapshot_times"):
+                    "dt_factor", "t_end", "g", "scheme", "snapshot_times"):
             assert getattr(again, key) == getattr(cfg, key)
 
     def test_unknown_key_named(self):

@@ -77,14 +77,14 @@ class TestSolveTridiagonal:
             solve_tridiagonal(sub, diag, sup, np.array([1.0, 2.0, 3.0]))
 
     def test_singular_momentum_system_carries_step(self):
-        # zero depth zeroes every entry of the momentum matrix
+        # zero depth zeroes every entry of the momentum matrix, so the
+        # bootstrap solve, before step 1, fails
         cfg = small_config()
         state = sl.smoothed_dambreak_ic(cfg)
         state.h[state.grid.interior] = 0.0
-        state.step = 7
-        with pytest.raises(sl.SolverError) as err:
-            momentum_update(state, cfg)
-        assert err.value.step == 7
+        with pytest.raises(sl.SolverError, match="singular") as err:
+            sl.run_to(state, cfg)
+        assert err.value.step == len(err.value.log) == 0
 
 
 class TestMassUpdateLeapfrog:
@@ -193,11 +193,11 @@ class TestStep:
         cfg = small_config(alpha=0.1, dt_factor=20.0, t_end=1000.0)
         assert cfg.dt == 50.0
         state = sl.smoothed_dambreak_ic(cfg)
-        with pytest.raises(sl.SolverError) as err:
+        with pytest.raises(sl.SolverError, match="positivity") as err:
             # grossly oversized steps drive the depth negative within a few
-            for _ in range(20):
-                sl.step(state, cfg)
-        assert err.value.step is not None
+            sl.run_to(state, cfg)
+        assert err.value.step == len(err.value.log) == state.step
+        assert 0 < err.value.step < cfg.n_steps
 
     def test_determinism(self):
         cfg = small_config(t_end=1.0)

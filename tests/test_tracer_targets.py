@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import serrelab as sl
-from serrelab.cli import parse_manifest_file
+from serrelab.cli import build_parser, parse_manifest_file
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -57,11 +57,12 @@ def test_workload_inputs_accepted(tmp_path, monkeypatch):
     for workload in workloads.WORKLOADS.values():
         sl.parse_config_text(workload.setup_case.config_text())
         for argv in workload.commands(str(tmp_path), str(tmp_path / "out")):
-            opts = dict(zip(argv[1::2], argv[2::2]))
-            if "--config" in opts:
-                sl.parse_config_file(opts["--config"])
+            # a removed or renamed option exits here, as in the benchmark
+            args = build_parser().parse_args(argv)
+            if getattr(args, "config", None):
+                sl.parse_config_file(args.config)
                 parsed += 1
-            if "--manifest" in opts:
-                parse_manifest_file(opts["--manifest"], opts["--out"])
+            if getattr(args, "manifest", None):
+                parse_manifest_file(args.manifest)
                 parsed += 1
     assert parsed == 3
