@@ -47,33 +47,26 @@ def parse_manifest_file(path) -> ExperimentManifest:
     """Parse a manifest and build every cell's SimConfig, so that a bad
     cell fails here, before the sweep writes anything."""
     with open(path) as fh:
-        values = parse_key_values(fh.read(), MANIFEST_KEYS, MANIFEST_REQUIRED)
+        values = {key: _parse_value(key, raw) for key, raw in parse_key_values(
+            fh.read(), MANIFEST_KEYS, MANIFEST_REQUIRED).items()}
 
-    alphas = tuple(float(a) for a in values.pop("alphas").split(","))
-    levels = tuple(int(k) for k in values.pop("levels").split(","))
+    alphas = values.pop("alphas")
+    levels = values.pop("levels")
+    exclude = values.pop("exclude_window", ()) or None
+    if not alphas:
+        raise ConfigError("alphas must name at least one smoothing length")
     if len(set(alphas)) < len(alphas):
         raise ConfigError("alphas must be distinct")
-    if len(levels) < 2:
-        raise ConfigError("need at least 2 refinement levels")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("refinement levels must be strictly increasing")
-    window = values.pop("exclude_window", "").strip()
-    exclude = parse_window(window) if window else None
-    base = {key: _parse_value(key, raw) for key, raw in values.items()}
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("levels must be two or more strictly increasing "
+                          "refinement levels")
+    if exclude and (len(exclude) != 2 or exclude[1] < exclude[0]):
+        raise ConfigError(f"exclude_window must be LO,HI with LO <= HI, "
+                          f"got {exclude}")
     configs = {(alpha, level): SimConfig(alpha=alpha, dx=level_dx(level),
-                                         **base)
+                                         **values)
                for alpha in alphas for level in levels}
     return ExperimentManifest(alphas, levels, exclude, configs)
-
-
-def parse_window(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"bad window (expected lo,hi): {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    if hi < lo:
-        raise ConfigError("window hi must be >= lo")
-    return lo, hi
 
 
 def _refuse_used_dir(path: str, record: str) -> None:
@@ -149,58 +142,50 @@ def cmd_converge(args) -> int:
     os.makedirs(sweep_dir, exist_ok=True)
     shutil.copyfile(args.manifest, os.path.join(sweep_dir, "manifest.txt"))
 
-    cells = list(manifest.configs)
+    # the finest cells take longest: the pool starts them first
+    cells = sorted(manifest.configs, key=lambda cell: cell[1], reverse=True)
     run_cell = partial(_sweep_cell, manifest, sweep_dir)
     # the pool forks all its workers at the first submit
     workers = min(args.workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, cells))
+            outcomes = dict(zip(cells, pool.map(run_cell, cells)))
     else:
-        outcomes = list(map(run_cell, cells))
-    failed = [(a, k, out) for (a, k), out in zip(cells, outcomes)
-              if isinstance(out, str)]
-    results = {cell: out for cell, out in zip(cells, outcomes)
-               if not isinstance(out, str)}
+        outcomes = dict(zip(cells, map(run_cell, cells)))
 
     exclude = manifest.exclude_window
     window_label = f"{exclude[0]},{exclude[1]}" if exclude else ""
-    table_rows = []
-    rate_rows = []
+    table_rows, rate_rows = [], []
     for alpha in manifest.alphas:
-        levels_ok = [k for k in manifest.levels if (alpha, k) in results]
-        if len(levels_ok) < 2:
+        done = [k for k in manifest.levels
+                if not isinstance(outcomes[alpha, k], str)]
+        if len(done) < 2:
             continue
-        finest = results[alpha, levels_ok[-1]][0]
-        l1_by_level = {}
-        for k in levels_ok:
-            snap, record = results[alpha, k]
-            row = {"alpha": alpha, "dx": level_dx(k),
-                   "C1_h": record.C1_h, "C1_uh": record.C1_uh,
-                   "C1_H": record.C1_H, "excluded_window": window_label}
-            if k != levels_ok[-1]:
-                row["L1_h"] = diagnostics.l1_difference(snap, finest, "h",
-                                                        exclude_window=exclude)
-                row["L1_u"] = diagnostics.l1_difference(snap, finest, "u",
-                                                        exclude_window=exclude)
-                l1_by_level[k] = (row["L1_h"], row["L1_u"])
-            table_rows.append(row)
-        for ka, kb in zip(levels_ok[:-1], levels_ok[1:-1]):
-            la, lb = l1_by_level[ka], l1_by_level[kb]
-            rate_rows.append([alpha, level_dx(ka), level_dx(kb),
-                              math.log2(la[0] / lb[0]) if lb[0] > 0 else float("nan"),
-                              math.log2(la[1] / lb[1]) if lb[1] > 0 else float("nan")])
+        finest = outcomes[alpha, done[-1]][0]
+        # (L1_h, L1_u) against the finest level, for all the others
+        l1 = [[diagnostics.l1_difference(outcomes[alpha, k][0], finest, q,
+                                         exclude_window=exclude)
+               for q in ("h", "u")] for k in done[:-1]]
+        for k, errors in zip(done, l1 + [[None, None]]):
+            record = outcomes[alpha, k][1]
+            table_rows.append([alpha, level_dx(k), record.C1_h,
+                               record.C1_uh, record.C1_H, *errors,
+                               window_label])
+        for ka, kb, la, lb in zip(done, done[1:], l1, l1[1:]):
+            rate_rows.append([alpha, level_dx(ka), level_dx(kb)] + [
+                math.log2(a / b) if b > 0 else float("nan")
+                for a, b in zip(la, lb)])
 
     io.write_rows(os.path.join(sweep_dir, "convergence.csv"),
-                  io.CONVERGENCE_COLUMNS,
-                  ([row.get(c) for c in io.CONVERGENCE_COLUMNS]
-                   for row in table_rows))
+                  io.CONVERGENCE_COLUMNS, table_rows)
     io.write_rows(os.path.join(sweep_dir, "rates.csv"),
                   ["alpha", "dx_coarse", "dx_fine", "rate_h", "rate_u"],
                   rate_rows)
-    for alpha, k, msg in failed:
-        print(f"error: cell alpha={alpha} level={k} failed: {msg}",
-              file=sys.stderr)
+    failed = [cell for cell in manifest.configs
+              if isinstance(outcomes[cell], str)]
+    for alpha, k in failed:
+        print(f"error: cell alpha={alpha} level={k} failed: "
+              f"{outcomes[alpha, k]}", file=sys.stderr)
     if failed:
         print("convergence table written with partial results", file=sys.stderr)
         return EXIT_SOLVER
@@ -217,27 +202,21 @@ def cmd_compare(args) -> int:
                             t=t)
     out_path = os.path.join(run_dir, "compare.csv")
 
-    if not config.h1 > config.h0:
-        io.write_rows(out_path, ["result"], [["no bore"]])
-        print(f"compare complete: {out_path}")
-        return EXIT_OK
-
-    sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
-                                        x0=config.x0)
-    whitham = reference.whitham_leading_wave(config.h0, config.h1, config.g,
-                                             x0=config.x0)
-    crest = diagnostics.leading_wave(snap, sol)
-    h_mean, u_mean, _ = diagnostics.bore_means(snap, sol)
-    header = ["t", "h_mean", "h2", "u_mean", "u2", "A", "A_plus",
-              "x_A", "x_S2", "x_S_plus"]
-    if crest is None:
-        io.write_rows(out_path, ["result"], [["no bore"]])
-    else:
-        x_a, amp = crest
-        io.write_rows(out_path, header,
-                      [[t, h_mean, sol.h2, u_mean, sol.u2, amp,
-                        whitham.A_plus, x_a, sol.x_shock(t),
-                        whitham.x_front(t)]])
+    header, row = ["result"], ["no bore"]
+    if config.h1 > config.h0:
+        sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
+                                            x0=config.x0)
+        crest = diagnostics.leading_wave(snap, sol)
+        if crest is not None:
+            whitham = reference.whitham_leading_wave(
+                config.h0, config.h1, config.g, x0=config.x0)
+            h_mean, u_mean, _ = diagnostics.bore_means(snap, sol)
+            x_a, amp = crest
+            header = ["t", "h_mean", "h2", "u_mean", "u2", "A", "A_plus",
+                      "x_A", "x_S2", "x_S_plus"]
+            row = [t, h_mean, sol.h2, u_mean, sol.u2, amp, whitham.A_plus,
+                   x_a, sol.x_shock(t), whitham.x_front(t)]
+    io.write_rows(out_path, header, [row])
     print(f"compare complete: {out_path}")
     return EXIT_OK
 
@@ -295,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except solvers.SolverError as exc:

@@ -4,7 +4,7 @@ dam-break initial conditions shared by both time-stepping schemes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import ClassVar
 
@@ -12,14 +12,6 @@ import numpy as np
 
 GHOST_LAYERS = 2
 SCHEMES = ("D", "E")
-
-# keys accepted in plain-text config files, in canonical order
-CONFIG_KEYS = (
-    "h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx", "dt_factor",
-    "t_end", "g", "scheme", "snapshot_times",
-)
-REQUIRED_KEYS = ("h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx",
-                 "t_end", "scheme")
 
 
 class ConfigError(ValueError):
@@ -37,10 +29,11 @@ def _whole(q: float, message: str, least: int = 0) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
     """All physical and numerical parameters of one simulation run; frozen,
-    so the counts that validate() derives cannot go stale."""
+    so the counts that validate() derives cannot go stale.  The settable
+    fields are the config file's keys, in file order."""
 
     h0: float                    # right-state depth (m)
     h1: float                    # left-state depth (m)
@@ -49,10 +42,10 @@ class SimConfig:
     domain_a: float
     domain_b: float
     dx: float
-    t_end: float
-    scheme: str = "D"            # D: leapfrog mass update, E: Lax-Wendroff
     dt_factor: float = 0.01      # dt = dt_factor * dx
+    t_end: float
     g: float = 9.81
+    scheme: str                  # D: leapfrog mass update, E: Lax-Wendroff
     snapshot_times: tuple = ()
     # set by validate(); snapshot_steps includes n_steps
     n_cells: int = field(init=False, repr=False)
@@ -101,6 +94,12 @@ class SimConfig:
         if abs(self.x0 - mid) > 1e-9 * (self.domain_b - self.domain_a):
             raise ConfigError(
                 f"x0 = {self.x0} is not the domain midpoint {mid}")
+
+
+# keys of a config file, in file order; required = no default
+CONFIG_KEYS = tuple(f.name for f in fields(SimConfig) if f.init)
+REQUIRED_KEYS = tuple(f.name for f in fields(SimConfig)
+                      if f.init and f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -233,18 +232,20 @@ def analytic_totals(config: SimConfig) -> tuple[float, float, float]:
     return c_h, c_uh, c_ham
 
 
+# comma-separated keys of config and manifest files, and their entry type
+_LIST_KEYS = {"snapshot_times": float, "alphas": float,
+              "exclude_window": float, "levels": int}
+
+
 def _parse_value(key: str, raw: str):
+    """Type one config or manifest value: `scheme` is text, a list key a
+    tuple (`()` when blank), any other key a float."""
+    raw = raw.strip()
     if key == "scheme":
-        return raw.strip()
-    if key == "snapshot_times":
-        raw = raw.strip()
-        if not raw:
-            return ()
-        try:
-            return tuple(float(tok) for tok in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad snapshot_times entry: {raw!r}") from exc
+        return raw
     try:
+        if key in _LIST_KEYS:
+            return tuple(map(_LIST_KEYS[key], raw.split(","))) if raw else ()
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

@@ -338,6 +338,53 @@ class TestConverge:
         assert ((out_a / "convergence.csv").read_bytes()
                 == (out_b / "convergence.csv").read_bytes())
 
+    def test_pool_starts_finest_cells_first(self, tmp_path, monkeypatch):
+        # this stand-in records the cells in the order they are mapped
+        mapped = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                mapped.extend(cells)
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        man = write_manifest(tmp_path / "m.txt", levels="2,3,4")
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man), "--out", str(out),
+                     "--workers", "2"]) == 0
+        levels = [k for _, k in mapped]
+        assert len(levels) == 6 and levels == sorted(levels, reverse=True)
+        # the table keeps manifest order
+        assert [row[:2] for row in read_csv(out / "convergence.csv")[1:]] == [
+            [a, dx] for a in ("40", "2") for dx in ("2.5", "1.25", "0.625")]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("key, value", [
+        ("alphas", "40,x"),
+        ("levels", "4,5.5"),
+        ("exclude_window", "1,b"),
+        ("exclude_window", "5,1"),
+        ("alphas", ""),
+    ])
+    def test_bad_list_value_names_its_key(self, tmp_path, capsys, workers,
+                                          key, value):
+        man = write_manifest(tmp_path / "m.txt", **{key: value})
+        out = tmp_path / "sweep"
+        assert main(["converge", "--manifest", str(man), "--out", str(out),
+                     "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
         man = write_manifest(tmp_path / "m.txt")
@@ -346,6 +393,19 @@ class TestConverge:
                      f"--workers={workers}"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_out_naming_a_file_exit_2(tmp_path, capsys, command):
+    source = (["--config", str(write_config(tmp_path / "c.txt"))]
+              if command == "run"
+              else ["--manifest", str(write_manifest(tmp_path / "m.txt"))])
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert main([command, *source, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "a file, not a directory\n"
 
 
 class TestCompare:

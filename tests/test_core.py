@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import serrelab as sl
+from serrelab import core
 from _cases import make_config
 
 
@@ -179,6 +180,26 @@ class TestConfigFormat:
             "t_end = 1.0", "t_end = soon")
         with pytest.raises(sl.ConfigError):
             sl.parse_config_text(text)
+
+    def test_schema_and_text_pinned(self):
+        assert core.CONFIG_KEYS == (
+            "h0", "h1", "x0", "alpha", "domain_a", "domain_b", "dx",
+            "dt_factor", "t_end", "g", "scheme", "snapshot_times")
+        assert core.REQUIRED_KEYS == ("h0", "h1", "x0", "alpha", "domain_a",
+                                      "domain_b", "dx", "t_end", "scheme")
+        cfg = sl.SimConfig(h0=1.0, h1=1.8, x0=500.0, alpha=2.0, domain_a=0.0,
+                           domain_b=1000.0, dx=0.625, dt_factor=0.02,
+                           t_end=1.0, g=9.8, scheme="E",
+                           snapshot_times=(0.5, 1.0))
+        assert sl.format_config(cfg) == (
+            "h0 = 1.0\nh1 = 1.8\nx0 = 500.0\nalpha = 2.0\ndomain_a = 0.0\n"
+            "domain_b = 1000.0\ndx = 0.625\ndt_factor = 0.02\nt_end = 1.0\n"
+            "g = 9.8\nscheme = E\nsnapshot_times = 0.5,1.0\n")
+
+    def test_keywords_only(self):
+        # valid values in the order of the required keys
+        with pytest.raises(TypeError, match="positional"):
+            sl.SimConfig(1.0, 1.8, 500.0, 2.0, 0.0, 1000.0, 0.625, 1.0, "D")
 
 
 def test_make_config_centres_dam():
