@@ -26,10 +26,21 @@ def snapshot_filename(t: float) -> str:
     return f"snapshot_{fmt(t)}.csv"
 
 
+SNAPSHOT_ROW = ",".join([FLOAT_FMT] * 3) + "\r\n"
+SNAPSHOT_CHUNK = 4096
+
+
 def write_snapshot(path, snapshot: Snapshot) -> None:
-    np.savetxt(path, np.column_stack((snapshot.x, snapshot.h, snapshot.u)),
-               fmt=FLOAT_FMT, delimiter=",", newline="\r\n",
-               header="x,h,u", comments="")
+    """x,h,u rows with CRLF line ends: the bytes of np.savetxt with
+    fmt=FLOAT_FMT, written a chunk of rows at a time."""
+    x, h, u = snapshot.x, snapshot.h, snapshot.u
+    with open(path, "w", newline="") as fh:
+        fh.write("x,h,u\r\n")
+        for start in range(0, len(x), SNAPSHOT_CHUNK):
+            rows = slice(start, start + SNAPSHOT_CHUNK)
+            block = np.column_stack((x[rows], h[rows], u[rows]))
+            fh.write((SNAPSHOT_ROW * len(block))
+                     % tuple(block.ravel().tolist()))
 
 
 def read_snapshot(path, t: float) -> Snapshot:

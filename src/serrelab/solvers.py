@@ -10,11 +10,23 @@ is the point.
 A step allocates no array-sized temporaries: every term is written with
 `out=` ufuncs into a Workspace owned by the State, in the same order of
 operations as the formulas in the docstrings, so the results are
-bit-identical to evaluating those formulas directly.
+bit-identical to evaluating those formulas directly.  The momentum
+system is assembled by a C loop (_assemble.c) with the same order of
+operations when the host can build it, and by numpy otherwise; both give
+the same bits.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from importlib import resources
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -187,6 +199,118 @@ def solve_tridiagonal(sub, diag, sup, rhs, overwrite=False):
     return x
 
 
+def _diagonally_dominant(work: Workspace) -> bool:
+    """|diag| > |sub| + |sup| on every row of work's momentum system."""
+    off = np.abs(work.sub, out=work.a)
+    off += np.abs(work.sup, out=work.b)
+    return bool(np.greater(np.abs(work.diag, out=work.b), off,
+                           out=work.mask).all())
+
+
+_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC",
+                 "-shared")
+
+
+def _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng, work):
+    """Fill work.sub/diag/sup/rhs as assemble_momentum_system does, with
+    the C kernel; returns _diagonally_dominant(work)."""
+    n = len(work.rhs)
+    for arr in (h, u, u_prev):
+        # the kernel reads n + 2 ng doubles from each pointer
+        if (arr.dtype != np.float64 or arr.shape != (n + 2 * ng,)
+                or not arr.flags.c_contiguous):
+            raise ValueError("the C assembly needs contiguous float64 "
+                             f"arrays of {n + 2 * ng} cells")
+    return bool(kernel(h.ctypes.data, u.ctypes.data, u_prev.ctypes.data,
+                       work.sub.ctypes.data, work.diag.ctypes.data,
+                       work.sup.ctypes.data, work.rhs.ctypes.data, n, ng, g,
+                       2.0 * dx, dx ** 2, 2.0 * dx ** 3, 3.0 * dx ** 2,
+                       2.0 * dt))
+
+
+def _kernel_agrees(kernel) -> bool:
+    """Whether the kernel gives the numpy rows and flag bit for bit on a
+    fixed state of 67 cells (an odd length reaches the vector tail).
+    Its values are seeded-random and its dt is large, so that every term
+    reaches the last bits of the rows: a smooth state with a small dt
+    hides a reordered product."""
+    n, ng = 67, 2
+    rng = np.random.default_rng(67)
+    h = rng.uniform(0.5, 2.0, n + 2 * ng)
+    u, u_prev = rng.uniform(-1.0, 1.0, (2, n + 2 * ng))
+    expected, got = Workspace(n, ng), Workspace(n, ng)
+    args = (h, u, u_prev, 0.3, 0.7, 9.81, ng)
+    assemble_momentum_system(*args, work=expected)
+    dominant = _assemble_with_kernel(kernel, *args, got)
+    return dominant == _diagonally_dominant(expected) and all(
+        np.array_equal(getattr(expected, row).view(np.int64),
+                       getattr(got, row).view(np.int64))
+        for row in ("sub", "diag", "sup", "rhs"))
+
+
+def _load_kernel():
+    """The C assembly of _assemble.c as a ctypes function, or None.
+
+    The kernel is built with the host's `cc` and _KERNEL_FLAGS and cached
+    under $XDG_CACHE_HOME/serrelab (default ~/.cache/serrelab).  The cache
+    key hashes the source, the flags, the compiler's real path, size and
+    mtime, and the host name, since -march=native ties the binary to its
+    host.  A cached kernel loads without starting a process.  A new build
+    goes to a temporary name in the cache and is moved into place only
+    after it has matched the numpy assembly bit for bit, so concurrent
+    builds are safe.  Any failure (no cc, a compile error, a mismatch, an
+    unwritable cache, a library that does not load) returns None, with no
+    message: the caller then assembles with numpy.
+    """
+    try:
+        cc = shutil.which("cc")
+        if cc is None:
+            return None
+        cc = os.path.realpath(cc)
+        source = resources.files(__package__).joinpath(
+            "_assemble.c").read_bytes()
+        stat = os.stat(cc)
+        key = hashlib.sha256(repr((
+            source, _KERNEL_FLAGS, cc, stat.st_size, stat.st_mtime_ns,
+            platform.node())).encode()).hexdigest()[:32]
+        cache = os.path.join(os.path.expanduser(
+            os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "serrelab")
+        path = os.path.join(cache, f"assemble-{key}.so")
+        if os.path.exists(path):
+            return _bind(path)
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
+                           input=source, capture_output=True, check=True,
+                           timeout=120)
+            kernel = _bind(tmp)
+            if not _kernel_agrees(kernel):
+                return None
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return kernel
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _bind(path):
+    kernel = ctypes.CDLL(path).assemble_momentum
+    kernel.argtypes = ([ctypes.c_void_p] * 7 + [ctypes.c_ssize_t] * 2
+                       + [ctypes.c_double] * 6)
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+@functools.lru_cache(maxsize=None)
+def _assembly_kernel():
+    """_load_kernel(), once per process; None means the numpy assembly."""
+    return _load_kernel()
+
+
 def momentum_update(state: State, config: SimConfig):
     """New interior velocities by direct tridiagonal elimination.
 
@@ -196,15 +320,17 @@ def momentum_update(state: State, config: SimConfig):
     break this, so it is checked on every solve, and the solve pivots.
     """
     work = _workspace(state)
-    sub, diag, sup, rhs = assemble_momentum_system(
-        state.h, state.u, state.u_prev, state.grid.dx, config.dt, config.g,
-        state.grid.ghost_layers, work=work)
-    # |diag| > |sub| + |sup| on every row, before the solve overwrites them
-    off = np.abs(sub, out=work.a)
-    off += np.abs(sup, out=work.b)
-    dominant = bool(np.greater(np.abs(diag, out=work.b), off,
-                               out=work.mask).all())
-    u_next = solve_tridiagonal(sub, diag, sup, rhs, overwrite=True)
+    args = (state.h, state.u, state.u_prev, state.grid.dx, config.dt,
+            config.g, state.grid.ghost_layers)
+    kernel = _assembly_kernel()
+    if kernel is not None:
+        dominant = _assemble_with_kernel(kernel, *args, work)
+    else:
+        assemble_momentum_system(*args, work=work)
+        # checked before the solve overwrites the system
+        dominant = _diagonally_dominant(work)
+    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs,
+                               overwrite=True)
     if not np.isfinite(u_next, out=work.mask).all():
         raise SolverError("non-finite velocity after momentum solve")
     return u_next, dominant

@@ -482,6 +482,25 @@ class TestCsvRoundTrip:
             "%.17g,%.17g,%.17g\r\n" % row for row in zip(x, h, u))
         assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("n", [0, 1, io.SNAPSHOT_CHUNK,
+                                   2 * io.SNAPSHOT_CHUNK + 5])
+    def test_snapshot_bytes_match_savetxt(self, tmp_path, n):
+        # special values, then random ones, over whole and partial chunks
+        special = [-0.0, 0.0, 1e-310, -1e-310, 1e300, -1e300, 3.0, -42.0,
+                   1e17, np.nan, np.inf, -np.inf, 0.1, 2.0 ** -1074]
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(3 * n) * 10.0 ** rng.integers(
+            -300, 300, 3 * n)
+        values[:min(len(special), 3 * n)] = special[:3 * n]
+        x, h, u = values.reshape(3, n)
+        io.write_snapshot(tmp_path / "s.csv",
+                          sl.Snapshot(t=1.0, x=x, h=h, u=u))
+        np.savetxt(tmp_path / "old.csv", np.column_stack((x, h, u)),
+                   fmt="%.17g", delimiter=",", newline="\r\n",
+                   header="x,h,u", comments="")
+        assert ((tmp_path / "s.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
     def test_snapshot_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "c.txt")
         out = tmp_path / "out"

@@ -1,13 +1,24 @@
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import serrelab as sl
+from serrelab import solvers
 from serrelab.solvers import (assemble_momentum_system, mass_update_lax_wendroff,
                               mass_update_leapfrog, momentum_update,
                               solve_tridiagonal)
 from _cases import make_config, run_case
+from test_golden import CASES, GOLDEN, case_key, run_golden_case
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def small_config(**kw):
@@ -356,3 +367,161 @@ class TestSchemeAgreement:
         snaps_e, _ = run_case(40.0, 6, 30.0, scheme="E")
         l1 = sl.l1_difference(snaps_d[30.0], snaps_e[30.0], "h")
         assert l1 <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    """The C assembly, built into a fresh cache."""
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        built = solvers._load_kernel()
+    assert built is not None
+    return built
+
+
+def both_assemblies(kernel, h, u, u_prev, dx, dt):
+    """(numpy Workspace, numpy flag, kernel Workspace, kernel flag)."""
+    n, ng = len(h) - 4, 2
+    expected, got = solvers.Workspace(n, ng), solvers.Workspace(n, ng)
+    assemble_momentum_system(h, u, u_prev, dx, dt, 9.81, ng, work=expected)
+    flag = solvers._assemble_with_kernel(kernel, h, u, u_prev, dx, dt, 9.81,
+                                         ng, got)
+    return expected, solvers._diagonally_dominant(expected), got, flag
+
+
+ROWS = ("sub", "diag", "sup", "rhs")
+
+
+def cells(length, lo, hi):
+    """Strategy for an array of `length` cells with values in [lo, hi]."""
+    return arrays(np.float64, length, elements=st.floats(lo, hi))
+
+
+class TestAssemblyKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 300),
+           dx=st.floats(0.01, 10.0), dt=st.floats(1e-4, 50.0))
+    def test_matches_numpy_bit_for_bit(self, kernel, data, n, dx, dt):
+        # n from 1 to 300 reaches every length of the vector tail
+        h = data.draw(cells(n + 4, 0.01, 10.0))
+        u = data.draw(cells(n + 4, -10.0, 10.0))
+        u_prev = data.draw(cells(n + 4, -10.0, 10.0))
+        expected, flag, got, got_flag = both_assemblies(
+            kernel, h, u, u_prev, dx, dt)
+        assert got_flag == flag
+        for row in ROWS:
+            assert np.array_equal(getattr(got, row).view(np.int64),
+                                  getattr(expected, row).view(np.int64)), row
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 300), data=st.data())
+    def test_nan_depth_clears_the_flag(self, kernel, n, data):
+        x = np.linspace(0.0, 1.0, n + 4)
+        h, u, u_prev = 1.0 + 0.1 * x, 0.01 * x, 0.02 * x
+        # the depth stencil reaches one ghost cell on each side
+        h[data.draw(st.integers(1, n + 2))] = np.nan
+        expected, flag, got, got_flag = both_assemblies(
+            kernel, h, u, u_prev, 0.5, 0.005)
+        assert not flag and not got_flag
+        for row in ROWS:
+            assert np.array_equal(getattr(got, row), getattr(expected, row),
+                                  equal_nan=True), row
+
+    @pytest.mark.parametrize("bad", ["float32", "strided", "short"])
+    def test_unfit_arrays_rejected(self, kernel, bad):
+        n = 9
+        h = np.ones(n + 4)
+        u = {"float32": np.zeros(n + 4, dtype=np.float32),
+             "strided": np.zeros(2 * (n + 4))[::2],
+             "short": np.zeros(n + 3)}[bad]
+        with pytest.raises(ValueError, match="float64"):
+            solvers._assemble_with_kernel(kernel, h, u, h, 1.0, 0.01, 9.81,
+                                          2, solvers.Workspace(n, 2))
+
+    @pytest.mark.parametrize("path", ["numpy", "kernel"])
+    def test_golden_on_either_path(self, kernel, monkeypatch, path):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble_momentum_system(*args, **kwargs)
+
+        chosen = None if path == "numpy" else kernel
+        monkeypatch.setattr(solvers, "_assembly_kernel", lambda: chosen)
+        monkeypatch.setattr(solvers, "assemble_momentum_system", counted)
+        with np.load(GOLDEN) as golden:
+            for alpha, scheme in CASES:
+                for name, value in run_golden_case(alpha, scheme).items():
+                    assert np.array_equal(
+                        value, golden[case_key(alpha, scheme, name)]), name
+        assert bool(calls) == (path == "numpy")
+
+    def test_source_is_package_data(self):
+        source = resources.files("serrelab").joinpath("_assemble.c")
+        assert "int assemble_momentum(" in source.read_text()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+class TestKernelBuild:
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        return tmp_path / "serrelab"
+
+    def test_missing_compiler_falls_back_silently(self, cache, monkeypatch,
+                                                  capfd):
+        monkeypatch.setattr(solvers.shutil, "which", lambda name: None)
+        assert solvers._load_kernel() is None
+        assert capfd.readouterr() == ("", "")
+        assert not cache.exists()
+
+    def test_cold_cache_filled_by_one_build(self, cache, monkeypatch):
+        runs = []
+        run = subprocess.run
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(solvers.subprocess, "run", counted)
+        assert solvers._load_kernel() is not None
+        assert len(runs) == 1
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+    def test_cache_hit_starts_no_process(self, cache, monkeypatch):
+        assert solvers._load_kernel() is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit started a process")
+
+        monkeypatch.setattr(solvers.subprocess, "run", refuse)
+        kernel = solvers._load_kernel()
+        assert kernel is not None and solvers._kernel_agrees(kernel)
+
+    def test_mismatch_is_not_cached(self, cache, monkeypatch):
+        monkeypatch.setattr(solvers, "_kernel_agrees", lambda kernel: False)
+        assert solvers._load_kernel() is None
+        assert list(cache.iterdir()) == []
+
+    def test_unwritable_cache_falls_back(self, tmp_path, monkeypatch):
+        # a plain file where the cache directory should be
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        assert solvers._load_kernel() is None
+
+    def test_concurrent_cold_builds(self, cache):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+        code = ("from serrelab import solvers\n"
+                "kernel = solvers._load_kernel()\n"
+                "print(kernel is not None and solvers._kernel_agrees(kernel))")
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [p.communicate(timeout=120)[0] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert outs == ["True\n", "True\n"]
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
