@@ -10,10 +10,12 @@ is the point.
 A step allocates no array-sized temporaries: every term is written with
 `out=` ufuncs into a Workspace owned by the State, in the same order of
 operations as the formulas in the docstrings, so the results are
-bit-identical to evaluating those formulas directly.  The momentum
-system is assembled by a C loop (_assemble.c) with the same order of
-operations when the host can build it, and by numpy otherwise; both give
-the same bits.
+bit-identical to evaluating those formulas directly.  When the host can
+build it, a C kernel (_step.c) does the same work in the same order of
+operations: the momentum assembly, the tridiagonal solve (a transcription
+of LAPACK dgtsv) and both mass updates.  Otherwise numpy and SciPy's
+dgtsv do it; both paths give the same bits, and only the second loads
+SciPy.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import tempfile
 from importlib import resources
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import SimConfig, State, take_snapshot
 
@@ -185,18 +186,33 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work=None):
 def solve_tridiagonal(sub, diag, sup, rhs, overwrite=False):
     """Solve sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i].
 
-    LAPACK dgtsv: Gaussian elimination with partial pivoting.  sub[0] and
-    sup[-1] lie outside the matrix and are ignored.  With overwrite=True
-    the four arrays are destroyed and the solution is written into rhs;
-    otherwise they are left intact and the solution is a new array.  An
-    exactly singular matrix (a zero pivot) raises SolverError.
+    LAPACK dgtsv: Gaussian elimination with partial pivoting, run by its
+    C transcription in _step.c, or by SciPy's LAPACK when the kernel is
+    unavailable; both give the same bits.  sub[0] and sup[-1] lie outside
+    the matrix and are ignored.  With overwrite=True the four arrays are
+    destroyed and the solution is written into rhs (on the kernel path
+    they must then be contiguous float64 arrays of one length); otherwise
+    they are left intact and the solution is a new array.  An exactly
+    singular matrix (a zero pivot) raises SolverError.
     """
-    _, _, _, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs,
-                             overwrite_dl=overwrite, overwrite_d=overwrite,
-                             overwrite_du=overwrite, overwrite_b=overwrite)
+    kernel = _step_kernel()
+    if kernel is None:
+        x, info = _gtsv_lapack(sub, diag, sup, rhs, overwrite)
+    else:
+        x, info = _gtsv_with_kernel(kernel, sub, diag, sup, rhs, overwrite)
     if info != 0:
         raise SolverError(f"singular tridiagonal system (dgtsv info = {info})")
     return x
+
+
+def _gtsv_lapack(sub, diag, sup, rhs, overwrite):
+    """(x, info) of SciPy's dgtsv.  SciPy is imported here, on the numpy
+    path only, so that a process on the kernel path never loads it."""
+    from scipy.linalg.lapack import dgtsv
+    _, _, _, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs,
+                             overwrite_dl=overwrite, overwrite_d=overwrite,
+                             overwrite_du=overwrite, overwrite_b=overwrite)
+    return x, info
 
 
 def _diagonally_dominant(work: Workspace) -> bool:
@@ -207,173 +223,29 @@ def _diagonally_dominant(work: Workspace) -> bool:
                            out=work.mask).all())
 
 
-_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC",
-                 "-shared")
-
-
-def _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng, work):
-    """Fill work.sub/diag/sup/rhs as assemble_momentum_system does, with
-    the C kernel; returns _diagonally_dominant(work)."""
-    n = len(work.rhs)
-    for arr in (h, u, u_prev):
-        # the kernel reads n + 2 ng doubles from each pointer
-        if (arr.dtype != np.float64 or arr.shape != (n + 2 * ng,)
-                or not arr.flags.c_contiguous):
-            raise ValueError("the C assembly needs contiguous float64 "
-                             f"arrays of {n + 2 * ng} cells")
-    return bool(kernel(h.ctypes.data, u.ctypes.data, u_prev.ctypes.data,
-                       work.sub.ctypes.data, work.diag.ctypes.data,
-                       work.sup.ctypes.data, work.rhs.ctypes.data, n, ng, g,
-                       2.0 * dx, dx ** 2, 2.0 * dx ** 3, 3.0 * dx ** 2,
-                       2.0 * dt))
-
-
-def _kernel_agrees(kernel) -> bool:
-    """Whether the kernel gives the numpy rows and flag bit for bit on a
-    fixed state of 67 cells (an odd length reaches the vector tail).
-    Its values are seeded-random and its dt is large, so that every term
-    reaches the last bits of the rows: a smooth state with a small dt
-    hides a reordered product."""
-    n, ng = 67, 2
-    rng = np.random.default_rng(67)
-    h = rng.uniform(0.5, 2.0, n + 2 * ng)
-    u, u_prev = rng.uniform(-1.0, 1.0, (2, n + 2 * ng))
-    expected, got = Workspace(n, ng), Workspace(n, ng)
-    args = (h, u, u_prev, 0.3, 0.7, 9.81, ng)
-    assemble_momentum_system(*args, work=expected)
-    dominant = _assemble_with_kernel(kernel, *args, got)
-    return dominant == _diagonally_dominant(expected) and all(
-        np.array_equal(getattr(expected, row).view(np.int64),
-                       getattr(got, row).view(np.int64))
-        for row in ("sub", "diag", "sup", "rhs"))
-
-
-def _load_kernel():
-    """The C assembly of _assemble.c as a ctypes function, or None.
-
-    The kernel is built with the host's `cc` and _KERNEL_FLAGS and cached
-    under $XDG_CACHE_HOME/serrelab (default ~/.cache/serrelab).  The cache
-    key hashes the source, the flags, the compiler's real path, size and
-    mtime, and the host name, since -march=native ties the binary to its
-    host.  A cached kernel loads without starting a process.  A new build
-    goes to a temporary name in the cache and is moved into place only
-    after it has matched the numpy assembly bit for bit, so concurrent
-    builds are safe.  Any failure (no cc, a compile error, a mismatch, an
-    unwritable cache, a library that does not load) returns None, with no
-    message: the caller then assembles with numpy.
-    """
-    try:
-        cc = shutil.which("cc")
-        if cc is None:
-            return None
-        cc = os.path.realpath(cc)
-        source = resources.files(__package__).joinpath(
-            "_assemble.c").read_bytes()
-        stat = os.stat(cc)
-        key = hashlib.sha256(repr((
-            source, _KERNEL_FLAGS, cc, stat.st_size, stat.st_mtime_ns,
-            platform.node())).encode()).hexdigest()[:32]
-        cache = os.path.join(os.path.expanduser(
-            os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "serrelab")
-        path = os.path.join(cache, f"assemble-{key}.so")
-        if os.path.exists(path):
-            return _bind(path)
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
-                           input=source, capture_output=True, check=True,
-                           timeout=120)
-            kernel = _bind(tmp)
-            if not _kernel_agrees(kernel):
-                return None
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return kernel
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _bind(path):
-    kernel = ctypes.CDLL(path).assemble_momentum
-    kernel.argtypes = ([ctypes.c_void_p] * 7 + [ctypes.c_ssize_t] * 2
-                       + [ctypes.c_double] * 6)
-    kernel.restype = ctypes.c_int
-    return kernel
-
-
-@functools.lru_cache(maxsize=None)
-def _assembly_kernel():
-    """_load_kernel(), once per process; None means the numpy assembly."""
-    return _load_kernel()
-
-
-def momentum_update(state: State, config: SimConfig):
-    """New interior velocities by direct tridiagonal elimination.
-
-    Returns (u_next, diag_dominant); u_next is a row of the state's
-    workspace.  Row i is strictly diagonally dominant iff
-    h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
-    break this, so it is checked on every solve, and the solve pivots.
-    """
-    work = _workspace(state)
-    args = (state.h, state.u, state.u_prev, state.grid.dx, config.dt,
-            config.g, state.grid.ghost_layers)
-    kernel = _assembly_kernel()
-    if kernel is not None:
-        dominant = _assemble_with_kernel(kernel, *args, work)
-    else:
-        assemble_momentum_system(*args, work=work)
-        # checked before the solve overwrites the system
-        dominant = _diagonally_dominant(work)
-    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs,
-                               overwrite=True)
-    if not np.isfinite(u_next, out=work.mask).all():
-        raise SolverError("non-finite velocity after momentum solve")
-    return u_next, dominant
-
-
-def mass_update_leapfrog(state: State, config: SimConfig):
-    """Centred mass update advancing from the previous level:
-    h_prev - dt (u (hp - hm) / dx + h (up - um) / dx), into work.h_next.
-    """
-    ng = state.grid.ghost_layers
-    work = _workspace(state)
-    dx = state.grid.dx
+def _leapfrog_numpy(h, u, h_prev, dx, dt, ng, work):
+    """h_prev - dt (u (hp - hm) / dx + h (up - um) / dx) on the interior,
+    into work.h_next."""
     c = slice(ng, -ng)
-    hp = state.h[ng + 1:-ng + 1]
-    hm = state.h[ng - 1:-ng - 1]
-    up = state.u[ng + 1:-ng + 1]
-    um = state.u[ng - 1:-ng - 1]
+    hp = h[ng + 1:-ng + 1]
+    hm = h[ng - 1:-ng - 1]
+    up = u[ng + 1:-ng + 1]
+    um = u[ng - 1:-ng - 1]
     a, b = work.a, work.b
     np.subtract(hp, hm, out=a)
-    a *= state.u[c]
+    a *= u[c]
     a /= dx
     np.subtract(up, um, out=b)
-    b *= state.h[c]
+    b *= h[c]
     b /= dx
     a += b
-    a *= config.dt
-    return np.subtract(state.h_prev[c], a, out=work.h_next)
+    a *= dt
+    return np.subtract(h_prev[c], a, out=work.h_next)
 
 
-def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig):
-    """Two-step Lax-Wendroff mass update, into work.h_next.
-
-    Half-step depths come from the current level; half-step velocities are
-    the four-point space-time average using the already-computed new
-    velocities.
-    """
-    ng = state.grid.ghost_layers
-    work = _workspace(state)
-    dx = state.grid.dx
-    dt = config.dt
-    h = state.h
-    u = state.u
-    un1 = u_next_full
+def _lax_wendroff_numpy(h, u, un1, dx, dt, ng, work):
+    """The two-step Lax-Wendroff depths of mass_update_lax_wendroff, into
+    work.h_next; un1 is the new velocity with ghosts."""
     lam = dt / (2.0 * dx)
     # faces i+1/2, i = ng-1 .. n+ng-1: right (R) and left (L) neighbours
     h_r, h_l = h[ng:-ng + 1], h[ng - 1:-ng]
@@ -396,6 +268,230 @@ def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig):
     diff = np.subtract(flux[1:], flux[:-1], out=work.a)
     diff *= dt / dx
     return np.subtract(h[ng:-ng], diff, out=work.h_next)
+
+
+_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC",
+                 "-shared")
+
+
+def _pointers(length, *arrays):
+    """The data pointers of arrays; each must be `length` contiguous
+    float64 cells, the extent that the kernel reads or writes."""
+    for arr in arrays:
+        if (arr.dtype != np.float64 or arr.shape != (length,)
+                or not arr.flags.c_contiguous):
+            raise ValueError("the C kernel needs contiguous float64 "
+                             f"arrays of {length} cells")
+    return [arr.ctypes.data for arr in arrays]
+
+
+def _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng, work):
+    """Fill work.sub/diag/sup/rhs as assemble_momentum_system does, with
+    the C kernel; returns _diagonally_dominant(work)."""
+    n = len(work.rhs)
+    return bool(kernel.assemble_momentum(
+        *_pointers(n + 2 * ng, h, u, u_prev), work.sub.ctypes.data,
+        work.diag.ctypes.data, work.sup.ctypes.data, work.rhs.ctypes.data,
+        n, ng, g, 2.0 * dx, dx ** 2, 2.0 * dx ** 3, 3.0 * dx ** 2, 2.0 * dt))
+
+
+def _gtsv_with_kernel(kernel, sub, diag, sup, rhs, overwrite):
+    """(x, info) as _gtsv_lapack gives them, from the C dgtsv."""
+    if not overwrite:
+        sub, diag, sup, rhs = (np.array(a, dtype=np.float64)
+                               for a in (sub, diag, sup, rhs))
+    n = len(diag)
+    dl, d, du, b = _pointers(n, sub, diag, sup, rhs)
+    # dgtsv's sub-diagonal starts at sub[1]
+    return rhs, kernel.gtsv(n, dl + sub.itemsize, d, du, b)
+
+
+def _leapfrog_with_kernel(kernel, h, u, h_prev, dx, dt, ng, work):
+    """_leapfrog_numpy(...) by the C kernel."""
+    n = len(work.h_next)
+    kernel.mass_leapfrog(*_pointers(n + 2 * ng, h, u, h_prev),
+                         work.h_next.ctypes.data, n, ng, dx, dt)
+    return work.h_next
+
+
+def _lax_wendroff_with_kernel(kernel, h, u, un1, dx, dt, ng, work):
+    """_lax_wendroff_numpy(...) by the C kernel."""
+    n = len(work.h_next)
+    kernel.mass_lax_wendroff(*_pointers(n + 2 * ng, h, u, un1),
+                             work.face_flux.ctypes.data,
+                             work.h_next.ctypes.data, n, ng,
+                             dt / (2.0 * dx), dt / dx)
+    return work.h_next
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _kernel_agrees(kernel) -> bool:
+    """Whether every entry point of the kernel gives the numpy (or SciPy)
+    result bit for bit on fixed data of 67 cells (an odd length reaches
+    the vector tail): the assembly and its flag, the solve of a
+    diagonally dominant system and of one that pivots (against SciPy's
+    dgtsv), and both mass updates.  The values are seeded-random and dt
+    is large, so that every term reaches the last bits: a smooth state
+    with a small dt hides a reordered product.  exp and sinh spread the
+    values over several binades; uniform draws share one binary grid, on
+    which most sums are exact whatever their order."""
+    n, ng = 67, 2
+    rng = np.random.default_rng(67)
+    h, h_prev = np.exp(rng.uniform(-1.0, 1.0, (2, n + 2 * ng)))
+    u, u_prev = np.sinh(rng.uniform(-2.0, 2.0, (2, n + 2 * ng)))
+    expected, got = Workspace(n, ng), Workspace(n, ng)
+    args = (h, u, u_prev, 0.3, 0.7, 9.81, ng)
+    assemble_momentum_system(*args, work=expected)
+    flag = _assemble_with_kernel(kernel, *args, got)
+    rows = ("sub", "diag", "sup", "rhs")
+    if not (flag == _diagonally_dominant(expected) and all(
+            _same_bits(getattr(expected, r), getattr(got, r)) for r in rows)):
+        return False
+    # |diag| > 2 > |sub| + |sup| never pivots; about half the rows of
+    # the random system do
+    pivoting = np.tanh(rng.uniform(-2.0, 2.0, (4, n)))
+    dominant = pivoting.copy()
+    dominant[1] += np.copysign(2.0, dominant[1])
+    for system in (dominant, pivoting):
+        x, info = _gtsv_lapack(*system, False)
+        y, got_info = _gtsv_with_kernel(kernel, *system, False)
+        if got_info != info or not _same_bits(x, y):
+            return False
+    for numpy_update, kernel_update, third in (
+            (_leapfrog_numpy, _leapfrog_with_kernel, h_prev),
+            (_lax_wendroff_numpy, _lax_wendroff_with_kernel, u_prev)):
+        if not _same_bits(numpy_update(h, u, third, 0.3, 0.7, ng, expected),
+                          kernel_update(kernel, h, u, third, 0.3, 0.7, ng,
+                                        got)):
+            return False
+    return True
+
+
+def _load_kernel():
+    """The library built from _step.c, with its four functions bound, or
+    None.
+
+    The kernel is built with the host's `cc` and _KERNEL_FLAGS and cached
+    under $XDG_CACHE_HOME/serrelab (default ~/.cache/serrelab).  The cache
+    key hashes the source, the flags, the compiler's real path, size and
+    mtime, and the host name, since -march=native ties the binary to its
+    host.  A cached kernel loads without starting a process.  A new build
+    goes to a temporary name in the cache and is moved into place only
+    after _kernel_agrees, so concurrent builds are safe.  Any failure (no
+    cc, a compile error, a mismatch, an unwritable cache, a library that
+    does not load) returns None, with no message: the caller then takes
+    the numpy path.
+    """
+    try:
+        cc = shutil.which("cc")
+        if cc is None:
+            return None
+        cc = os.path.realpath(cc)
+        source = resources.files(__package__).joinpath("_step.c").read_bytes()
+        stat = os.stat(cc)
+        key = hashlib.sha256(repr((
+            source, _KERNEL_FLAGS, cc, stat.st_size, stat.st_mtime_ns,
+            platform.node())).encode()).hexdigest()[:32]
+        cache = os.path.join(os.path.expanduser(
+            os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "serrelab")
+        path = os.path.join(cache, f"step-{key}.so")
+        if os.path.exists(path):
+            return _bind(path)
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
+                           input=source, capture_output=True, check=True,
+                           timeout=120)
+            kernel = _bind(tmp)
+            if not _kernel_agrees(kernel):
+                return None
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return kernel
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _bind(path):
+    kernel = ctypes.CDLL(path)
+    ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    for name, argtypes, restype in (
+            ("assemble_momentum", [ptr] * 7 + [size] * 2 + [real] * 6,
+             ctypes.c_int),
+            ("gtsv", [size] + [ptr] * 4, size),
+            ("mass_leapfrog", [ptr] * 4 + [size] * 2 + [real] * 2, None),
+            ("mass_lax_wendroff", [ptr] * 5 + [size] * 2 + [real] * 2,
+             None)):
+        function = getattr(kernel, name)
+        function.argtypes = argtypes
+        function.restype = restype
+    return kernel
+
+
+@functools.lru_cache(maxsize=None)
+def _step_kernel():
+    """_load_kernel(), once per process; None means the numpy path."""
+    return _load_kernel()
+
+
+def momentum_update(state: State, config: SimConfig):
+    """New interior velocities by direct tridiagonal elimination.
+
+    Returns (u_next, diag_dominant); u_next is a row of the state's
+    workspace.  Row i is strictly diagonally dominant iff
+    h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
+    break this, so it is checked on every solve, and the solve pivots.
+    """
+    work = _workspace(state)
+    args = (state.h, state.u, state.u_prev, state.grid.dx, config.dt,
+            config.g, state.grid.ghost_layers)
+    kernel = _step_kernel()
+    if kernel is not None:
+        dominant = _assemble_with_kernel(kernel, *args, work)
+    else:
+        assemble_momentum_system(*args, work=work)
+        # checked before the solve overwrites the system
+        dominant = _diagonally_dominant(work)
+    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs,
+                               overwrite=True)
+    if not np.isfinite(u_next, out=work.mask).all():
+        raise SolverError("non-finite velocity after momentum solve")
+    return u_next, dominant
+
+
+def mass_update_leapfrog(state: State, config: SimConfig):
+    """Centred mass update advancing from the previous level:
+    h_prev - dt (u (hp - hm) / dx + h (up - um) / dx), into work.h_next.
+    """
+    args = (state.h, state.u, state.h_prev, state.grid.dx, config.dt,
+            state.grid.ghost_layers, _workspace(state))
+    kernel = _step_kernel()
+    if kernel is not None:
+        return _leapfrog_with_kernel(kernel, *args)
+    return _leapfrog_numpy(*args)
+
+
+def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig):
+    """Two-step Lax-Wendroff mass update, into work.h_next.
+
+    Half-step depths come from the current level; half-step velocities are
+    the four-point space-time average using the already-computed new
+    velocities (u_next_full, ghosts included).
+    """
+    args = (state.h, state.u, u_next_full, state.grid.dx, config.dt,
+            state.grid.ghost_layers, _workspace(state))
+    kernel = _step_kernel()
+    if kernel is not None:
+        return _lax_wendroff_with_kernel(kernel, *args)
+    return _lax_wendroff_numpy(*args)
 
 
 def apply_euler_bootstrap(state: State, config: SimConfig) -> None:

@@ -139,6 +139,18 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_cell_grid_exit_2_before_output(self, tmp_path, capsys):
+        # dx tiles [0, 1] with one cell: a one-row system has no
+        # off-diagonals, and the solve needs both
+        cfg = write_config(tmp_path / "c.txt", domain_a=0.0, domain_b=1.0,
+                           x0=0.5, dx=1.0, snapshot_times=None)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dx = 1.0" in err and "[0.0, 1.0]" in err
+        assert "at least 2 cells" in err
+        assert not out.exists()
+
 
 def write_manifest(path, **overrides):
     values = dict(h0=1.0, h1=1.8, x0=50.0, domain_a=0.0, domain_b=100.0,

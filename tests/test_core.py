@@ -68,6 +68,12 @@ class TestGrid:
         with pytest.raises(sl.ConfigError):
             sl.Grid.from_config(base_config(dx=0.7))
 
+    def test_at_least_two_cells(self):
+        with pytest.raises(sl.ConfigError, match=r"dx = 1000.0 .*\[0.0, "
+                           r"1000.0\] .*at least 2 cells"):
+            base_config(dx=1000.0, t_end=10.0)
+        assert base_config(dx=500.0, t_end=5.0).n_cells == 2
+
 
 class TestInitialCondition:
     def test_midpoint_depth(self):

@@ -1,8 +1,11 @@
+import math
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 import tracemalloc
+import types
 from importlib import resources
 
 import numpy as np
@@ -370,15 +373,29 @@ class TestSchemeAgreement:
 
 
 @pytest.fixture(scope="module")
-def kernel(tmp_path_factory):
-    """The C assembly, built into a fresh cache."""
+def kernel_cache(tmp_path_factory):
+    """A fresh $XDG_CACHE_HOME that holds the built kernel."""
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
+    return tmp_path_factory.mktemp("cache")
+
+
+@pytest.fixture(scope="module")
+def kernel(kernel_cache):
+    """The C kernel of _step.c, built into kernel_cache."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        mp.setenv("XDG_CACHE_HOME", str(kernel_cache))
         built = solvers._load_kernel()
     assert built is not None
     return built
+
+
+def subprocess_env(**extra):
+    """os.environ with src first on PYTHONPATH, plus `extra`."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def both_assemblies(kernel, h, u, u_prev, dx, dt):
@@ -442,25 +459,150 @@ class TestAssemblyKernel:
 
     @pytest.mark.parametrize("path", ["numpy", "kernel"])
     def test_golden_on_either_path(self, kernel, monkeypatch, path):
-        calls = []
+        import scipy.linalg.lapack
+        calls = {"assemble": 0, "dgtsv": 0, "leapfrog": 0, "lax_wendroff": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return assemble_momentum_system(*args, **kwargs)
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
 
         chosen = None if path == "numpy" else kernel
-        monkeypatch.setattr(solvers, "_assembly_kernel", lambda: chosen)
-        monkeypatch.setattr(solvers, "assemble_momentum_system", counted)
+        monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+        for module, attr, name in (
+                (solvers, "assemble_momentum_system", "assemble"),
+                (scipy.linalg.lapack, "dgtsv", "dgtsv"),
+                (solvers, "_leapfrog_numpy", "leapfrog"),
+                (solvers, "_lax_wendroff_numpy", "lax_wendroff")):
+            monkeypatch.setattr(module, attr,
+                                counted(name, getattr(module, attr)))
         with np.load(GOLDEN) as golden:
             for alpha, scheme in CASES:
                 for name, value in run_golden_case(alpha, scheme).items():
                     assert np.array_equal(
                         value, golden[case_key(alpha, scheme, name)]), name
-        assert bool(calls) == (path == "numpy")
+        if path == "numpy":
+            assert all(calls.values()), calls
+        else:
+            assert not any(calls.values()), calls
 
     def test_source_is_package_data(self):
-        source = resources.files("serrelab").joinpath("_assemble.c")
-        assert "int assemble_momentum(" in source.read_text()
+        source = resources.files("serrelab").joinpath("_step.c").read_text()
+        for function in ("int assemble_momentum(", "ptrdiff_t gtsv(",
+                         "void mass_leapfrog(", "void mass_lax_wendroff("):
+            assert function in source
+
+
+def both_solves(kernel, system):
+    """((x, info) of SciPy's dgtsv, (x, info) of the kernel) on copies."""
+    return (solvers._gtsv_lapack(*system, False),
+            solvers._gtsv_with_kernel(kernel, *system, False))
+
+
+def solve_error(chosen, system):
+    """The SolverError text of solve_tridiagonal on one path, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_step_kernel", lambda: chosen)
+        try:
+            solve_tridiagonal(*system)
+        except sl.SolverError as exc:
+            return str(exc)
+    return None
+
+
+def random_system(n, seed):
+    """A system of n rows with entries of either sign and magnitudes
+    0.01-10, spread over binades; a seeded generator fills the 4 n
+    entries far faster than hypothesis draws them one by one."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], (4, n)) * np.exp(
+        rng.uniform(math.log(0.01), math.log(10.0), (4, n)))
+
+
+class TestSolveKernel:
+    """The C dgtsv against SciPy's: SciPy refuses n = 1, so the solve
+    draws n = 2-300 and one row is checked by hand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2 ** 32),
+           dominant=st.booleans())
+    def test_finite_systems_bit_for_bit(self, kernel, n, seed, dominant):
+        system = random_system(n, seed)
+        if dominant:
+            # |diag| > 20 >= |sub| + |sup|: no row is interchanged
+            system[1] += np.copysign(20.0, system[1])
+        (x, info), (y, got_info) = both_solves(kernel, system)
+        assert got_info == info
+        assert np.array_equal(y.view(np.int64), x.view(np.int64))
+        assert solve_error(kernel, system) == solve_error(None, system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40))
+    def test_singular_systems_same_info_and_error(self, kernel, data, n):
+        # few distinct values, zeros among them: many exact zero pivots;
+        # every entry is drawn on its own (no fill value)
+        system = data.draw(arrays(
+            np.float64, (4, n), fill=st.nothing(),
+            elements=st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5])))
+        (x, info), (y, got_info) = both_solves(kernel, system)
+        assert got_info == info
+        assert np.array_equal(y.view(np.int64), x.view(np.int64))
+        assert solve_error(kernel, system) == solve_error(None, system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 300),
+           seed=st.integers(0, 2 ** 32))
+    def test_non_finite_systems_same_info(self, kernel, data, n, seed):
+        system = random_system(n, seed)
+        spots = data.draw(st.lists(st.tuples(
+            st.integers(0, 3), st.integers(0, n - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf])), min_size=1,
+            max_size=3))
+        for row, col, value in spots:
+            system[row, col] = value
+        (x, info), (y, got_info) = both_solves(kernel, system)
+        assert got_info == info
+        assert np.array_equal(y, x, equal_nan=True)
+
+    @pytest.mark.parametrize("diag, info", [(4.0, 0), (0.0, 1)])
+    def test_one_row(self, kernel, diag, info):
+        system = np.array([[7.0], [diag], [5.0], [3.0]])
+        x, got_info = solvers._gtsv_with_kernel(kernel, *system, False)
+        assert got_info == info
+        if info == 0:
+            assert x[0] == 3.0 / 4.0
+
+    def test_overwrite_solves_in_place(self, kernel, monkeypatch):
+        monkeypatch.setattr(solvers, "_step_kernel", lambda: kernel)
+        system = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 9))
+        kept = system.copy()
+        x = solve_tridiagonal(*kept)
+        assert np.array_equal(kept, system)
+        rows = list(system)
+        assert solve_tridiagonal(*rows, overwrite=True) is rows[3]
+        assert np.array_equal(rows[3], x)
+
+
+class TestMassUpdateKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 300),
+           dx=st.floats(0.01, 10.0), dt=st.floats(1e-4, 50.0))
+    def test_both_updates_bit_for_bit(self, kernel, data, n, dx, dt):
+        h, h_prev = data.draw(cells(n + 4, 0.01, 10.0)), data.draw(
+            cells(n + 4, 0.01, 10.0))
+        u, u_next = data.draw(cells(n + 4, -10.0, 10.0)), data.draw(
+            cells(n + 4, -10.0, 10.0))
+        expected, got = solvers.Workspace(n, 2), solvers.Workspace(n, 2)
+        for numpy_update, kernel_update, third in (
+                (solvers._leapfrog_numpy, solvers._leapfrog_with_kernel,
+                 h_prev),
+                (solvers._lax_wendroff_numpy,
+                 solvers._lax_wendroff_with_kernel, u_next)):
+            want = numpy_update(h, u, third, dx, dt, 2, expected)
+            have = kernel_update(kernel, h, u, third, dx, dt, 2, got)
+            assert np.array_equal(have.view(np.int64),
+                                  want.view(np.int64)), numpy_update
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
@@ -511,10 +653,57 @@ class TestKernelBuild:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
         assert solvers._load_kernel() is None
 
+    # one reordered operation in each of the solve and the mass updates
+    @pytest.mark.parametrize("original, reordered", [
+        ("(b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2])",
+         "(b[i] - (du[i] * b[i + 1] + dl[i] * b[i + 2]))"),
+        ("(h[i + 1] - h[i - 1]) * u[i] / dx",
+         "(h[i + 1] - h[i - 1]) * (u[i] / dx)"),
+        ("(u_next[i] + u_r + u_next[i - 1] + u_l)",
+         "(u_next[i] + u_next[i - 1] + u_r + u_l)"),
+    ])
+    def test_reordered_kernel_refused(self, cache, tmp_path, monkeypatch,
+                                      original, reordered):
+        source = resources.files("serrelab").joinpath("_step.c").read_text()
+        assert source.count(original) == 1
+        variant = tmp_path / "variant"
+        variant.mkdir()
+        (variant / "_step.c").write_text(
+            source.replace(original, reordered))
+        monkeypatch.setattr(solvers, "resources",
+                            types.SimpleNamespace(files=lambda _: variant))
+        assert solvers._load_kernel() is None
+        assert list(cache.iterdir()) == []
+
+    def test_kernel_path_never_loads_scipy(self, kernel, kernel_cache):
+        # the cache is warm, so no build (and no self-check) runs
+        code = textwrap.dedent("""\
+            import sys
+            import numpy as np
+            import serrelab.cli
+            from serrelab import solvers
+            if sys.argv[1] == "numpy":
+                solvers._step_kernel = lambda: None
+            from test_golden import GOLDEN, case_key, run_golden_case
+            with np.load(GOLDEN) as golden:
+                same = all(
+                    np.array_equal(value, golden[case_key(alpha, scheme, name)])
+                    for alpha, scheme in ((0.4, "D"), (0.4, "E"))
+                    for name, value in run_golden_case(alpha, scheme).items())
+            print(same, solvers._step_kernel() is not None,
+                  "scipy" in sys.modules)
+            """)
+        env = subprocess_env(XDG_CACHE_HOME=str(kernel_cache))
+        env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
+        outs = [subprocess.run([sys.executable, "-c", code, path], env=env,
+                               capture_output=True, text=True, timeout=300)
+                for path in ("kernel", "numpy")]
+        assert [done.stderr for done in outs] == ["", ""]
+        assert [done.stdout for done in outs] == ["True True False\n",
+                                                  "True False True\n"]
+
     def test_concurrent_cold_builds(self, cache):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+        env = subprocess_env()
         code = ("from serrelab import solvers\n"
                 "kernel = solvers._load_kernel()\n"
                 "print(kernel is not None and solvers._kernel_agrees(kernel))")
