@@ -68,10 +68,10 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}")
         a, b, dt = self.domain_a, self.domain_b, self.dt
-        # the momentum system needs two rows: a sub- and a super-diagonal
+        # diagnostics.totals fits its quartic interpolants to five cells
         n_cells = _whole(
             (b - a) / self.dx, f"dx = {self.dx} does not tile [{a}, {b}] "
-            f"with a whole number of at least 2 cells", least=2)
+            f"with a whole number of at least 5 cells", least=5)
         n_steps = _whole(
             self.t_end / dt, f"t_end = {self.t_end} is not a positive whole "
             f"number of steps dt = {dt}", least=1)

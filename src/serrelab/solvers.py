@@ -86,8 +86,9 @@ def _product(out, p, q, r):
     return out
 
 
-def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work=None):
-    """Tridiagonal system for the new interior velocities.
+def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
+    """Tridiagonal system for the new interior velocities, written into
+    work.sub/diag/sup/rhs by the C kernel or by numpy (the same bits).
 
     The implicit operator is the centred discretisation of
     h u_t - d/dx((h^3/3) du_t/dx), expanded so that row i reads
@@ -98,11 +99,18 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work=None):
     derivatives second-order centred.  The velocity stencil reaches
     i +- 2, hence the two ghost layers.
 
-    Returns (sub, diag, sup, rhs) as rows of `work`; a fresh Workspace is
-    made when none is given.
+    Returns whether every row is strictly diagonally dominant,
+    |diag| > |sub| + |sup|.
     """
-    if work is None:
-        work = Workspace(len(h) - 2 * ng, ng)
+    kernel = _step_kernel()
+    if kernel is not None:
+        return _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng,
+                                     work)
+    return _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work)
+
+
+def _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work):
+    """assemble_momentum_system(...) by numpy."""
     c = slice(ng, -ng)
     hp = h[ng + 1:-ng + 1]
     hm = h[ng - 1:-ng - 1]
@@ -180,47 +188,45 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work=None):
     # fold the Dirichlet ghost velocities (zero) into the right-hand side
     rhs[0] -= sub[0] * u[ng - 1]
     rhs[-1] -= sup[-1] * u[-ng]
-    return sub, diag, sup, rhs
+    # the flag: |diag| > |sub| + |sup| on every row
+    off = np.abs(sub, out=a)
+    off += np.abs(sup, out=b)
+    return bool(np.greater(np.abs(diag, out=b), off, out=work.mask).all())
 
 
-def solve_tridiagonal(sub, diag, sup, rhs, overwrite=False):
-    """Solve sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i].
+def solve_tridiagonal(sub, diag, sup, rhs):
+    """Solve sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i] in
+    place: the four arrays, contiguous float64 rows of one length, are
+    destroyed and the solution is written into rhs, which is returned.
 
     LAPACK dgtsv: Gaussian elimination with partial pivoting, run by its
     C transcription in _step.c, or by SciPy's LAPACK when the kernel is
     unavailable; both give the same bits.  sub[0] and sup[-1] lie outside
-    the matrix and are ignored.  With overwrite=True the four arrays are
-    destroyed and the solution is written into rhs (on the kernel path
-    they must then be contiguous float64 arrays of one length); otherwise
-    they are left intact and the solution is a new array.  An exactly
-    singular matrix (a zero pivot) raises SolverError.
+    the matrix and are ignored.  A system of fewer than 2 rows raises
+    ValueError; an exactly singular matrix (a zero pivot) raises
+    SolverError.
     """
+    if len(diag) < 2:
+        raise ValueError("a tridiagonal system needs at least 2 rows")
     kernel = _step_kernel()
     if kernel is None:
-        x, info = _gtsv_lapack(sub, diag, sup, rhs, overwrite)
+        x, info = _gtsv_lapack(sub, diag, sup, rhs)
     else:
-        x, info = _gtsv_with_kernel(kernel, sub, diag, sup, rhs, overwrite)
+        x, info = _gtsv_with_kernel(kernel, sub, diag, sup, rhs)
     if info != 0:
         raise SolverError(f"singular tridiagonal system (dgtsv info = {info})")
     return x
 
 
-def _gtsv_lapack(sub, diag, sup, rhs, overwrite):
-    """(x, info) of SciPy's dgtsv.  SciPy is imported here, on the numpy
-    path only, so that a process on the kernel path never loads it."""
+def _gtsv_lapack(sub, diag, sup, rhs):
+    """(x, info) of SciPy's dgtsv, in place.  SciPy is imported here, on
+    the numpy path only, so that a process on the kernel path never loads
+    it."""
     from scipy.linalg.lapack import dgtsv
-    _, _, _, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs,
-                             overwrite_dl=overwrite, overwrite_d=overwrite,
-                             overwrite_du=overwrite, overwrite_b=overwrite)
+    _, _, _, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs, overwrite_dl=True,
+                             overwrite_d=True, overwrite_du=True,
+                             overwrite_b=True)
     return x, info
-
-
-def _diagonally_dominant(work: Workspace) -> bool:
-    """|diag| > |sub| + |sup| on every row of work's momentum system."""
-    off = np.abs(work.sub, out=work.a)
-    off += np.abs(work.sup, out=work.b)
-    return bool(np.greater(np.abs(work.diag, out=work.b), off,
-                           out=work.mask).all())
 
 
 def _leapfrog_numpy(h, u, h_prev, dx, dt, ng, work):
@@ -286,8 +292,7 @@ def _pointers(length, *arrays):
 
 
 def _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng, work):
-    """Fill work.sub/diag/sup/rhs as assemble_momentum_system does, with
-    the C kernel; returns _diagonally_dominant(work)."""
+    """_assemble_numpy(...) by the C kernel."""
     n = len(work.rhs)
     return bool(kernel.assemble_momentum(
         *_pointers(n + 2 * ng, h, u, u_prev), work.sub.ctypes.data,
@@ -295,11 +300,8 @@ def _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng, work):
         n, ng, g, 2.0 * dx, dx ** 2, 2.0 * dx ** 3, 3.0 * dx ** 2, 2.0 * dt))
 
 
-def _gtsv_with_kernel(kernel, sub, diag, sup, rhs, overwrite):
+def _gtsv_with_kernel(kernel, sub, diag, sup, rhs):
     """(x, info) as _gtsv_lapack gives them, from the C dgtsv."""
-    if not overwrite:
-        sub, diag, sup, rhs = (np.array(a, dtype=np.float64)
-                               for a in (sub, diag, sup, rhs))
     n = len(diag)
     dl, d, du, b = _pointers(n, sub, diag, sup, rhs)
     # dgtsv's sub-diagonal starts at sub[1]
@@ -345,11 +347,11 @@ def _kernel_agrees(kernel) -> bool:
     u, u_prev = np.sinh(rng.uniform(-2.0, 2.0, (2, n + 2 * ng)))
     expected, got = Workspace(n, ng), Workspace(n, ng)
     args = (h, u, u_prev, 0.3, 0.7, 9.81, ng)
-    assemble_momentum_system(*args, work=expected)
-    flag = _assemble_with_kernel(kernel, *args, got)
     rows = ("sub", "diag", "sup", "rhs")
-    if not (flag == _diagonally_dominant(expected) and all(
-            _same_bits(getattr(expected, r), getattr(got, r)) for r in rows)):
+    if not (_assemble_numpy(*args, expected)
+            == _assemble_with_kernel(kernel, *args, got) and all(
+                _same_bits(getattr(expected, r), getattr(got, r))
+                for r in rows)):
         return False
     # |diag| > 2 > |sub| + |sup| never pivots; about half the rows of
     # the random system do
@@ -357,8 +359,8 @@ def _kernel_agrees(kernel) -> bool:
     dominant = pivoting.copy()
     dominant[1] += np.copysign(2.0, dominant[1])
     for system in (dominant, pivoting):
-        x, info = _gtsv_lapack(*system, False)
-        y, got_info = _gtsv_with_kernel(kernel, *system, False)
+        x, info = _gtsv_lapack(*system.copy())
+        y, got_info = _gtsv_with_kernel(kernel, *system.copy())
         if got_info != info or not _same_bits(x, y):
             return False
     for numpy_update, kernel_update, third in (
@@ -408,14 +410,13 @@ def _load_kernel():
             subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
                            input=source, capture_output=True, check=True,
                            timeout=120)
-            kernel = _bind(tmp)
-            if not _kernel_agrees(kernel):
+            if not _kernel_agrees(_bind(tmp)):
                 return None
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        return kernel
+        return _bind(path)
     except (OSError, subprocess.SubprocessError):
         return None
 
@@ -451,17 +452,10 @@ def momentum_update(state: State, config: SimConfig):
     break this, so it is checked on every solve, and the solve pivots.
     """
     work = _workspace(state)
-    args = (state.h, state.u, state.u_prev, state.grid.dx, config.dt,
-            config.g, state.grid.ghost_layers)
-    kernel = _step_kernel()
-    if kernel is not None:
-        dominant = _assemble_with_kernel(kernel, *args, work)
-    else:
-        assemble_momentum_system(*args, work=work)
-        # checked before the solve overwrites the system
-        dominant = _diagonally_dominant(work)
-    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs,
-                               overwrite=True)
+    dominant = assemble_momentum_system(
+        state.h, state.u, state.u_prev, state.grid.dx, config.dt, config.g,
+        state.grid.ghost_layers, work)
+    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs)
     if not np.isfinite(u_next, out=work.mask).all():
         raise SolverError("non-finite velocity after momentum solve")
     return u_next, dominant

@@ -5,7 +5,10 @@ single run serves every test (and acceptance criterion) that needs it.
 """
 import functools
 
+import numpy as np
+
 import serrelab as sl
+from serrelab.solvers import Workspace, assemble_momentum_system
 
 
 def make_config(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
@@ -24,6 +27,16 @@ def run_case(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
                          snapshot_times=times)
     snapshots, _ = sl.run_to(sl.smoothed_dambreak_ic(config), config)
     return {s.t: s for s in snapshots}, config
+
+
+def momentum_system(state, config):
+    """The state's momentum system, assembled into a Workspace, as the
+    rows sub, diag, sup, rhs of one (4, n) array."""
+    ng = state.grid.ghost_layers
+    work = Workspace(config.n_cells, ng)
+    assemble_momentum_system(state.h, state.u, state.u_prev, config.dx,
+                             config.dt, config.g, ng, work)
+    return np.array([work.sub, work.diag, work.sup, work.rhs])
 
 
 SWWE = sl.solve_swwe_dambreak(1.0, 1.8, 9.81, x0=500.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import serrelab as sl
-from _cases import SWWE, WHITHAM, make_config, run_case
+from _cases import SWWE, WHITHAM, make_config, momentum_system, run_case
 
 
 def test_criterion_1_swwe_constants():
@@ -124,8 +124,7 @@ def test_criterion_7_front_ordering():
 
 
 def test_criterion_8_property_suite():
-    from serrelab.solvers import (assemble_momentum_system,
-                                  mass_update_lax_wendroff, momentum_update,
+    from serrelab.solvers import (mass_update_lax_wendroff, momentum_update,
                                   solve_tridiagonal)
 
     # lake at rest is a fixed point of both schemes over 1000 steps
@@ -163,9 +162,9 @@ def test_criterion_8_property_suite():
     state = sl.smoothed_dambreak_ic(cfg)
     for _ in range(25):
         sl.step(state, cfg)
-    sub, diag, sup, rhs = assemble_momentum_system(
-        state.h, state.u, state.u_prev, cfg.dx, cfg.dt, cfg.g, ng)
-    u_sol = solve_tridiagonal(sub, diag, sup, rhs)
+    system = momentum_system(state, cfg)
+    sub, diag, sup, rhs = system
+    u_sol = solve_tridiagonal(*system.copy())
     resid = diag * u_sol
     resid[1:] += sub[1:] * u_sol[:-1]
     resid[:-1] += sup[:-1] * u_sol[1:]

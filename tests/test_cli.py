@@ -139,17 +139,30 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_one_cell_grid_exit_2_before_output(self, tmp_path, capsys):
-        # dx tiles [0, 1] with one cell: a one-row system has no
-        # off-diagonals, and the solve needs both
-        cfg = write_config(tmp_path / "c.txt", domain_a=0.0, domain_b=1.0,
-                           x0=0.5, dx=1.0, snapshot_times=None)
+    @staticmethod
+    def short_grid_error(tmp_path, capsys, domain_b):
+        """The error text of a run on [0, domain_b] with dx = 1, which
+        must exit 2 before it writes any file."""
+        cfg = write_config(tmp_path / "c.txt", domain_a=0.0,
+                           domain_b=domain_b, x0=domain_b / 2, dx=1.0,
+                           snapshot_times=None)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "dx = 1.0" in err and "[0.0, 1.0]" in err
-        assert "at least 2 cells" in err
         assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_one_cell_grid_exit_2_before_output(self, tmp_path, capsys):
+        # a one-row momentum system has no off-diagonals
+        err = self.short_grid_error(tmp_path, capsys, 1.0)
+        assert "dx = 1.0" in err and "[0.0, 1.0]" in err
+        assert "at least 5 cells" in err
+
+    def test_three_cell_grid_exit_2_before_output(self, tmp_path, capsys):
+        # the solve takes three rows, but the quartic interpolant of the
+        # conserved totals needs five cells
+        err = self.short_grid_error(tmp_path, capsys, 3.0)
+        assert "dx = 1.0" in err and "[0.0, 3.0]" in err
+        assert "at least 5 cells" in err
 
 
 def write_manifest(path, **overrides):

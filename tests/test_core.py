@@ -68,11 +68,11 @@ class TestGrid:
         with pytest.raises(sl.ConfigError):
             sl.Grid.from_config(base_config(dx=0.7))
 
-    def test_at_least_two_cells(self):
-        with pytest.raises(sl.ConfigError, match=r"dx = 1000.0 .*\[0.0, "
-                           r"1000.0\] .*at least 2 cells"):
-            base_config(dx=1000.0, t_end=10.0)
-        assert base_config(dx=500.0, t_end=5.0).n_cells == 2
+    def test_at_least_five_cells(self):
+        with pytest.raises(sl.ConfigError, match=r"dx = 250.0 .*\[0.0, "
+                           r"1000.0\] .*at least 5 cells"):
+            base_config(dx=250.0, t_end=2.5)
+        assert base_config(dx=200.0, t_end=2.0).n_cells == 5
 
 
 class TestInitialCondition:

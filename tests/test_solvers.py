@@ -15,10 +15,9 @@ from hypothesis.extra.numpy import arrays
 
 import serrelab as sl
 from serrelab import solvers
-from serrelab.solvers import (assemble_momentum_system, mass_update_lax_wendroff,
-                              mass_update_leapfrog, momentum_update,
-                              solve_tridiagonal)
-from _cases import make_config, run_case
+from serrelab.solvers import (mass_update_lax_wendroff, mass_update_leapfrog,
+                              momentum_update, solve_tridiagonal)
+from _cases import make_config, momentum_system, run_case
 from test_golden import CASES, GOLDEN, case_key, run_golden_case
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -52,10 +51,9 @@ class TestMomentumUpdate:
     def test_tridiagonal_residual(self):
         cfg = small_config()
         state = smooth_state(cfg)
-        ng = state.grid.ghost_layers
-        sub, diag, sup, rhs = assemble_momentum_system(
-            state.h, state.u, state.u_prev, cfg.dx, cfg.dt, cfg.g, ng)
-        u = solve_tridiagonal(sub, diag, sup, rhs)
+        system = momentum_system(state, cfg)
+        sub, diag, sup, rhs = system
+        u = solve_tridiagonal(*system.copy())
         resid = diag * u
         resid[1:] += sub[1:] * u[:-1]
         resid[:-1] += sup[:-1] * u[1:]
@@ -66,10 +64,7 @@ class TestMomentumUpdate:
         # flat depth, small smooth velocity, one solve on a tiny grid
         cfg = small_config(h0=1.0, h1=1.0, dx=100.0 / 48)
         state = smooth_state(cfg)
-        ng = state.grid.ghost_layers
-        sub, diag, sup, rhs = assemble_momentum_system(
-            state.h, state.u, state.u_prev, cfg.dx, cfg.dt, cfg.g, ng)
-        n = len(rhs)
+        sub, diag, sup, rhs = momentum_system(state, cfg)
         dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
         expected = np.linalg.solve(dense, rhs)
         got, _ = momentum_update(state, cfg)
@@ -402,10 +397,10 @@ def both_assemblies(kernel, h, u, u_prev, dx, dt):
     """(numpy Workspace, numpy flag, kernel Workspace, kernel flag)."""
     n, ng = len(h) - 4, 2
     expected, got = solvers.Workspace(n, ng), solvers.Workspace(n, ng)
-    assemble_momentum_system(h, u, u_prev, dx, dt, 9.81, ng, work=expected)
-    flag = solvers._assemble_with_kernel(kernel, h, u, u_prev, dx, dt, 9.81,
-                                         ng, got)
-    return expected, solvers._diagonally_dominant(expected), got, flag
+    flag = solvers._assemble_numpy(h, u, u_prev, dx, dt, 9.81, ng, expected)
+    got_flag = solvers._assemble_with_kernel(kernel, h, u, u_prev, dx, dt,
+                                             9.81, ng, got)
+    return expected, flag, got, got_flag
 
 
 ROWS = ("sub", "diag", "sup", "rhs")
@@ -471,7 +466,7 @@ class TestAssemblyKernel:
         chosen = None if path == "numpy" else kernel
         monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
         for module, attr, name in (
-                (solvers, "assemble_momentum_system", "assemble"),
+                (solvers, "_assemble_numpy", "assemble"),
                 (scipy.linalg.lapack, "dgtsv", "dgtsv"),
                 (solvers, "_leapfrog_numpy", "leapfrog"),
                 (solvers, "_lax_wendroff_numpy", "lax_wendroff")):
@@ -496,8 +491,8 @@ class TestAssemblyKernel:
 
 def both_solves(kernel, system):
     """((x, info) of SciPy's dgtsv, (x, info) of the kernel) on copies."""
-    return (solvers._gtsv_lapack(*system, False),
-            solvers._gtsv_with_kernel(kernel, *system, False))
+    return (solvers._gtsv_lapack(*system.copy()),
+            solvers._gtsv_with_kernel(kernel, *system.copy()))
 
 
 def solve_error(chosen, system):
@@ -505,7 +500,7 @@ def solve_error(chosen, system):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_step_kernel", lambda: chosen)
         try:
-            solve_tridiagonal(*system)
+            solve_tridiagonal(*system.copy())
         except sl.SolverError as exc:
             return str(exc)
     return None
@@ -568,20 +563,28 @@ class TestSolveKernel:
     @pytest.mark.parametrize("diag, info", [(4.0, 0), (0.0, 1)])
     def test_one_row(self, kernel, diag, info):
         system = np.array([[7.0], [diag], [5.0], [3.0]])
-        x, got_info = solvers._gtsv_with_kernel(kernel, *system, False)
+        x, got_info = solvers._gtsv_with_kernel(kernel, *system)
         assert got_info == info
         if info == 0:
             assert x[0] == 3.0 / 4.0
 
-    def test_overwrite_solves_in_place(self, kernel, monkeypatch):
-        monkeypatch.setattr(solvers, "_step_kernel", lambda: kernel)
+    def test_solves_in_place_on_both_paths(self, kernel, monkeypatch):
         system = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 9))
-        kept = system.copy()
-        x = solve_tridiagonal(*kept)
-        assert np.array_equal(kept, system)
-        rows = list(system)
-        assert solve_tridiagonal(*rows, overwrite=True) is rows[3]
-        assert np.array_equal(rows[3], x)
+        solutions = []
+        for chosen in (None, kernel):
+            monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+            rows = list(system.copy())
+            assert solve_tridiagonal(*rows) is rows[3]
+            solutions.append(rows[3])
+        assert np.array_equal(*solutions)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_refused_on_both_paths(self, kernel,
+                                                       monkeypatch, n):
+        for chosen in (None, kernel):
+            monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+            with pytest.raises(ValueError, match="at least 2 rows"):
+                solve_tridiagonal(*np.ones((4, n)))
 
 
 class TestMassUpdateKernel:
@@ -628,9 +631,13 @@ class TestKernelBuild:
             return run(*args, **kwargs)
 
         monkeypatch.setattr(solvers.subprocess, "run", counted)
-        assert solvers._load_kernel() is not None
+        kernel = solvers._load_kernel()
+        assert kernel is not None
         assert len(runs) == 1
         assert [p.suffix for p in cache.iterdir()] == [".so"]
+        # the kernel names the cached file, not its temporary build name
+        assert kernel._name == str(next(cache.iterdir()))
+        assert os.path.exists(kernel._name)
 
     def test_cache_hit_starts_no_process(self, cache, monkeypatch):
         assert solvers._load_kernel() is not None

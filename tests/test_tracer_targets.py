@@ -6,8 +6,11 @@ here."""
 import importlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 import serrelab as sl
 from serrelab.cli import build_parser, parse_manifest_file
@@ -66,3 +69,34 @@ def test_workload_inputs_accepted(tmp_path, monkeypatch):
                 parse_manifest_file(args.manifest)
                 parsed += 1
     assert parsed == 3
+
+
+def test_assembly_span_fires_on_the_compiled_path(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    tracer = load_script("tracer")
+    config = tmp_path / "c.txt"
+    # dt = 0.025: 40 steps after the bootstrap solve
+    config.write_text("h0 = 1.0\nh1 = 1.8\nx0 = 50.0\nalpha = 2.0\n"
+                      "domain_a = 0.0\ndomain_b = 100.0\ndx = 2.5\n"
+                      "t_end = 1.0\nscheme = D\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(BENCHMARKS, "tracer.py"), str(spans),
+         "--", "run", "--config", str(config), "--out",
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    # the run built the kernel into the cache, so this loads it
+    compiled = subprocess.run(
+        [sys.executable, "-c", "from serrelab import solvers; "
+         "print(solvers._step_kernel() is not None)"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert compiled.stdout == "True\n", compiled.stderr
+    metrics = tracer.layer_metrics(tracer.load_spans(str(spans)))
+    assert metrics["solvers.step.calls"] == 40
+    assert metrics["solvers.assemble_momentum_system.calls"] == 40 + 1
+    assert metrics["solvers.assemble_momentum_system.s"] > 0
