@@ -8,6 +8,7 @@ import dataclasses
 
 import numpy as np
 
+from . import solvers
 from .core import Snapshot
 from .diagnostics import DiagnosticsRecord
 
@@ -26,21 +27,44 @@ def snapshot_filename(t: float) -> str:
     return f"snapshot_{fmt(t)}.csv"
 
 
-SNAPSHOT_ROW = ",".join([FLOAT_FMT] * 3) + "\r\n"
 SNAPSHOT_CHUNK = 4096
+# the longest %.17g field, "-2.2250738585072014e-308"
+FIELD_BYTES = 24
+
+
+def _format_percent(block) -> bytes:
+    """The CSV body of a 2-D float block by Python's %: each value as
+    FLOAT_FMT, fields joined by "," and rows ended by CRLF."""
+    row = ",".join([FLOAT_FMT] * block.shape[1]) + "\r\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
+def _write_float_rows(path, header, columns) -> None:
+    """A CSV file of equal-length float columns: the header, then one row
+    per cell, with CRLF line ends (the bytes of np.savetxt with
+    fmt=FLOAT_FMT, and of csv.writer over fmt).  The rows are formatted a
+    chunk at a time, by the C kernel into one reused buffer when it is
+    built, else by _format_percent; both give the same bytes."""
+    kernel = solvers._step_kernel()
+    if kernel is not None:
+        # each field with one separator byte, and the LF of each CRLF
+        buf = np.empty(SNAPSHOT_CHUNK * ((FIELD_BYTES + 1) * len(columns)
+                                         + 1), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(columns[0]), SNAPSHOT_CHUNK):
+            rows = slice(start, start + SNAPSHOT_CHUNK)
+            # a contiguous copy: read_snapshot's columns are strided views
+            block = np.column_stack([column[rows] for column in columns])
+            fh.write(_format_percent(block) if kernel is None else
+                     solvers._format_with_kernel(kernel, block, buf))
 
 
 def write_snapshot(path, snapshot: Snapshot) -> None:
     """x,h,u rows with CRLF line ends: the bytes of np.savetxt with
-    fmt=FLOAT_FMT, written a chunk of rows at a time."""
-    x, h, u = snapshot.x, snapshot.h, snapshot.u
-    with open(path, "w", newline="") as fh:
-        fh.write("x,h,u\r\n")
-        for start in range(0, len(x), SNAPSHOT_CHUNK):
-            rows = slice(start, start + SNAPSHOT_CHUNK)
-            block = np.column_stack((x[rows], h[rows], u[rows]))
-            fh.write((SNAPSHOT_ROW * len(block))
-                     % tuple(block.ravel().tolist()))
+    fmt=FLOAT_FMT."""
+    _write_float_rows(path, ["x", "h", "u"],
+                      (snapshot.x, snapshot.h, snapshot.u))
 
 
 def read_snapshot(path, t: float) -> Snapshot:
@@ -51,8 +75,8 @@ def read_snapshot(path, t: float) -> Snapshot:
 
 def write_step_reports(path, log) -> None:
     # %.17g prints the whole-number step and 0/1 flag columns as ints
-    write_rows(path, ["step", "t", "min_h", "max_abs_u", "diag_dominant"],
-               log.tolist())
+    _write_float_rows(path, ["step", "t", "min_h", "max_abs_u",
+                             "diag_dominant"], log.T)
 
 
 DIAGNOSTICS_COLUMNS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]

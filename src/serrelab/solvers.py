@@ -15,7 +15,7 @@ build it, a C kernel (_step.c) does the same work in the same order of
 operations: the momentum assembly, the tridiagonal solve (a transcription
 of LAPACK dgtsv) and both mass updates.  Otherwise numpy and SciPy's
 dgtsv do it; both paths give the same bits, and only the second loads
-SciPy.
+SciPy.  The same library holds io's CSV formatter (_format.cc).
 """
 from __future__ import annotations
 
@@ -278,6 +278,8 @@ def _lax_wendroff_numpy(h, u, un1, dx, dt, ng, work):
 
 _KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC",
                  "-shared")
+# the kernel's source files, each with the language c++ compiles it as
+_KERNEL_SOURCES = {"_step.c": "c", "_format.cc": "c++"}
 
 
 def _pointers(length, *arrays):
@@ -326,6 +328,24 @@ def _lax_wendroff_with_kernel(kernel, h, u, un1, dx, dt, ng, work):
     return work.h_next
 
 
+def _format_with_kernel(kernel, block, buf):
+    """The CSV body of a 2-D float64 block, written by the C kernel into
+    buf (a contiguous uint8 array): each value as "%.17g" % v, fields
+    joined by "," and rows ended by CRLF.  Returns the view of buf that
+    holds it."""
+    if (block.dtype != np.float64 or block.ndim != 2
+            or not block.flags.c_contiguous):
+        raise ValueError("the C formatter needs a contiguous 2-D float64 "
+                         "block")
+    if buf.dtype != np.uint8 or buf.ndim != 1 or not buf.flags.c_contiguous:
+        raise ValueError("the C formatter needs a contiguous uint8 buffer")
+    size = kernel.format_rows(block.ctypes.data, *block.shape,
+                              buf.ctypes.data, len(buf))
+    if size < 0:
+        raise ValueError(f"{len(block)} rows do not fit in {len(buf)} bytes")
+    return buf[:size]
+
+
 def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
                                                  b.view(np.int64))
@@ -340,7 +360,8 @@ def _kernel_agrees(kernel) -> bool:
     is large, so that every term reaches the last bits: a smooth state
     with a small dt hides a reordered product.  exp and sinh spread the
     values over several binades; uniform draws share one binary grid, on
-    which most sums are exact whatever their order."""
+    which most sums are exact whatever their order.  Last, the formatter
+    must write Python's "%.17g" bytes (see _format_agrees)."""
     n, ng = 67, 2
     rng = np.random.default_rng(67)
     h, h_prev = np.exp(rng.uniform(-1.0, 1.0, (2, n + 2 * ng)))
@@ -370,33 +391,65 @@ def _kernel_agrees(kernel) -> bool:
                           kernel_update(kernel, h, u, third, 0.3, 0.7, ng,
                                         got)):
             return False
-    return True
+    return _format_agrees(kernel, rng)
+
+
+# %.17g's edge cases: signed zeros, infinities and a NaN with the sign bit
+# set; the subnormals; the switch from fixed to exponent notation at 1e17
+# and below 1e-4, with values that round up across it; 2**53 + 2 and the
+# two powers of ten on either side of the exact-double limit
+_FORMAT_EDGES = (0.0, -0.0, math.inf, -math.inf, -math.nan, 5e-324, 1e-310,
+                1e16, 1e17, 99999999999999999.0, 9.9999999999999999e-5, 1e-5,
+                2.0 ** 53 + 2, 1e22, 1e23)
+
+
+def _format_agrees(kernel, rng) -> bool:
+    """Whether the kernel's CSV body of _FORMAT_EDGES and of 300 random bit
+    patterns (both signs, every exponent, NaN payloads) is Python's
+    "%.17g" % v per field, joined by "," and ended by CRLF per row of
+    three; and whether a buffer one byte short is refused with nothing
+    written past its end."""
+    patterns = rng.integers(0, 2 ** 64, 300, dtype=np.uint64)
+    block = np.concatenate((_FORMAT_EDGES, patterns.view(np.float64)))
+    block = block.reshape(-1, 3)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\r\n"
+                       for row in block.tolist()).encode()
+    buf = np.empty(len(expected) + 1, np.uint8)
+    if bytes(_format_with_kernel(kernel, block, buf)) != expected:
+        return False
+    buf[:] = 0
+    short = kernel.format_rows(block.ctypes.data, *block.shape,
+                               buf.ctypes.data, len(expected) - 1)
+    return short == -1 and buf[-2:].tolist() == [0, 0]
 
 
 def _load_kernel():
-    """The library built from _step.c, with its four functions bound, or
-    None.
+    """The library built from _step.c and _format.cc, with its five
+    functions bound, or None.
 
-    The kernel is built with the host's `cc` and _KERNEL_FLAGS and cached
-    under $XDG_CACHE_HOME/serrelab (default ~/.cache/serrelab).  The cache
-    key hashes the source, the flags, the compiler's real path, size and
+    The kernel is built by one call of the host's `c++` with _KERNEL_FLAGS,
+    which compiles _step.c as C and _format.cc as C++, and is cached under
+    $XDG_CACHE_HOME/serrelab (default ~/.cache/serrelab).  The cache key
+    hashes both sources, the flags, the compiler's real path, size and
     mtime, and the host name, since -march=native ties the binary to its
     host.  A cached kernel loads without starting a process.  A new build
-    goes to a temporary name in the cache and is moved into place only
-    after _kernel_agrees, so concurrent builds are safe.  Any failure (no
-    cc, a compile error, a mismatch, an unwritable cache, a library that
-    does not load) returns None, with no message: the caller then takes
-    the numpy path.
+    happens in a temporary directory in the cache and is moved into place
+    only after _kernel_agrees, so concurrent builds are safe.  Any failure
+    (no c++, a compile error, a mismatch, an unwritable cache, a library
+    that does not load) returns None, with no message: the caller then
+    takes the numpy path.
     """
     try:
-        cc = shutil.which("cc")
-        if cc is None:
+        cxx = shutil.which("c++")
+        if cxx is None:
             return None
-        cc = os.path.realpath(cc)
-        source = resources.files(__package__).joinpath("_step.c").read_bytes()
-        stat = os.stat(cc)
+        cxx = os.path.realpath(cxx)
+        package = resources.files(__package__)
+        sources = {name: package.joinpath(name).read_bytes()
+                   for name in _KERNEL_SOURCES}
+        stat = os.stat(cxx)
         key = hashlib.sha256(repr((
-            source, _KERNEL_FLAGS, cc, stat.st_size, stat.st_mtime_ns,
+            sources, _KERNEL_FLAGS, cxx, stat.st_size, stat.st_mtime_ns,
             platform.node())).encode()).hexdigest()[:32]
         cache = os.path.join(os.path.expanduser(
             os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "serrelab")
@@ -404,18 +457,19 @@ def _load_kernel():
         if os.path.exists(path):
             return _bind(path)
         os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
-                           input=source, capture_output=True, check=True,
-                           timeout=120)
+        with tempfile.TemporaryDirectory(dir=cache) as build:
+            command = [cxx, *_KERNEL_FLAGS]
+            for name, language in _KERNEL_SOURCES.items():
+                source = os.path.join(build, name)
+                with open(source, "wb") as fh:
+                    fh.write(sources[name])
+                command += ["-x", language, source]
+            tmp = os.path.join(build, "step.so")
+            subprocess.run([*command, "-o", tmp], capture_output=True,
+                           check=True, timeout=120)
             if not _kernel_agrees(_bind(tmp)):
                 return None
             os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
         return _bind(path)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -430,7 +484,8 @@ def _bind(path):
             ("gtsv", [size] + [ptr] * 4, size),
             ("mass_leapfrog", [ptr] * 4 + [size] * 2 + [real] * 2, None),
             ("mass_lax_wendroff", [ptr] * 5 + [size] * 2 + [real] * 2,
-             None)):
+             None),
+            ("format_rows", [ptr] + [size] * 2 + [ptr, size], size)):
         function = getattr(kernel, name)
         function.argtypes = argtypes
         function.restype = restype

@@ -367,24 +367,6 @@ class TestSchemeAgreement:
         assert l1 <= 1e-3
 
 
-@pytest.fixture(scope="module")
-def kernel_cache(tmp_path_factory):
-    """A fresh $XDG_CACHE_HOME that holds the built kernel."""
-    if shutil.which("cc") is None:
-        pytest.skip("no cc on PATH")
-    return tmp_path_factory.mktemp("cache")
-
-
-@pytest.fixture(scope="module")
-def kernel(kernel_cache):
-    """The C kernel of _step.c, built into kernel_cache."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(kernel_cache))
-        built = solvers._load_kernel()
-    assert built is not None
-    return built
-
-
 def subprocess_env(**extra):
     """os.environ with src first on PYTHONPATH, plus `extra`."""
     env = dict(os.environ, **extra)
@@ -483,10 +465,14 @@ class TestAssemblyKernel:
             assert not any(calls.values()), calls
 
     def test_source_is_package_data(self):
-        source = resources.files("serrelab").joinpath("_step.c").read_text()
-        for function in ("int assemble_momentum(", "ptrdiff_t gtsv(",
-                         "void mass_leapfrog(", "void mass_lax_wendroff("):
-            assert function in source
+        for name, functions in (
+                ("_step.c", ("int assemble_momentum(", "ptrdiff_t gtsv(",
+                             "void mass_leapfrog(",
+                             "void mass_lax_wendroff(")),
+                ("_format.cc", ('extern "C" ptrdiff_t format_rows(',))):
+            source = resources.files("serrelab").joinpath(name).read_text()
+            for function in functions:
+                assert function in source, name
 
 
 def both_solves(kernel, system):
@@ -608,7 +594,30 @@ class TestMassUpdateKernel:
                                   want.view(np.int64)), numpy_update
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def variant_refused(cache, tmp_path, monkeypatch, name, original, variant):
+    """Whether a kernel whose source `name` has `original` replaced by
+    `variant` builds, fails the self-check and leaves nothing in the
+    cache."""
+    package = resources.files("serrelab")
+    sources = {source: package.joinpath(source).read_text()
+               for source in solvers._KERNEL_SOURCES}
+    assert sources[name].count(original) == 1
+    sources[name] = sources[name].replace(original, variant)
+    directory = tmp_path / "variant"
+    directory.mkdir()
+    for source, text in sources.items():
+        (directory / source).write_text(text)
+    monkeypatch.setattr(solvers, "resources",
+                        types.SimpleNamespace(files=lambda _: directory))
+    checks = []
+    agrees = solvers._kernel_agrees
+    monkeypatch.setattr(solvers, "_kernel_agrees",
+                        lambda kernel: checks.append(agrees(kernel)))
+    return (solvers._load_kernel() is None and checks == [False]
+            and list(cache.iterdir()) == [])
+
+
+@pytest.mark.skipif(shutil.which("c++") is None, reason="no c++ on PATH")
 class TestKernelBuild:
     @pytest.fixture
     def cache(self, tmp_path, monkeypatch):
@@ -617,7 +626,10 @@ class TestKernelBuild:
 
     def test_missing_compiler_falls_back_silently(self, cache, monkeypatch,
                                                   capfd):
-        monkeypatch.setattr(solvers.shutil, "which", lambda name: None)
+        # cc alone builds no kernel: _format.cc needs a C++ compiler
+        which = shutil.which
+        monkeypatch.setattr(solvers.shutil, "which", lambda name: (
+            None if name == "c++" else which(name)))
         assert solvers._load_kernel() is None
         assert capfd.readouterr() == ("", "")
         assert not cache.exists()
@@ -671,16 +683,34 @@ class TestKernelBuild:
     ])
     def test_reordered_kernel_refused(self, cache, tmp_path, monkeypatch,
                                       original, reordered):
-        source = resources.files("serrelab").joinpath("_step.c").read_text()
-        assert source.count(original) == 1
-        variant = tmp_path / "variant"
-        variant.mkdir()
-        (variant / "_step.c").write_text(
-            source.replace(original, reordered))
-        monkeypatch.setattr(solvers, "resources",
-                            types.SimpleNamespace(files=lambda _: variant))
-        assert solvers._load_kernel() is None
-        assert list(cache.iterdir()) == []
+        assert variant_refused(cache, tmp_path, monkeypatch, "_step.c",
+                               original, reordered)
+
+    # a formatter one digit short, one that prints "-nan" and one that
+    # ends rows with LF
+    @pytest.mark.parametrize("original, variant", [
+        ("std::chars_format::general, 17)", "std::chars_format::general, 16)"),
+        ("if (std::isnan(v))\n                v = std::fabs(v);", ""),
+        ('? "," : "\\r\\n";', '? "," : "\\n";'),
+    ], ids=["precision-16", "signed-nan", "lf"])
+    def test_format_variant_refused(self, cache, tmp_path, monkeypatch,
+                                    original, variant):
+        assert variant_refused(cache, tmp_path, monkeypatch, "_format.cc",
+                               original, variant)
+
+    def test_format_overflow_refused(self, kernel):
+        block = np.array([[-2.2250738585072014e-308, 0.1, -1e-5]] * 5)
+        full = bytes(solvers._format_with_kernel(
+            kernel, block, np.empty(5 * 76, np.uint8)))
+        for cap in (0, 1, len(full) // 2, len(full) - 2, len(full) - 1):
+            buf = np.full(len(full) + 8, 0xAB, np.uint8)
+            assert kernel.format_rows(block.ctypes.data, *block.shape,
+                                      buf.ctypes.data, cap) == -1
+            assert np.all(buf[cap:] == 0xAB), cap
+            with pytest.raises(ValueError, match="do not fit"):
+                solvers._format_with_kernel(kernel, block, buf[:cap])
+        buf = np.empty(len(full), np.uint8)
+        assert bytes(solvers._format_with_kernel(kernel, block, buf)) == full
 
     def test_kernel_path_never_loads_scipy(self, kernel, kernel_cache):
         # the cache is warm, so no build (and no self-check) runs

@@ -72,8 +72,8 @@ def test_workload_inputs_accepted(tmp_path, monkeypatch):
 
 
 def test_assembly_span_fires_on_the_compiled_path(tmp_path):
-    if shutil.which("cc") is None:
-        pytest.skip("no cc on PATH")
+    if shutil.which("c++") is None:
+        pytest.skip("no c++ on PATH")
     tracer = load_script("tracer")
     config = tmp_path / "c.txt"
     # dt = 0.025: 40 steps after the bootstrap solve
