@@ -7,14 +7,14 @@ the freshly computed velocity.  No limiter, filtering or artificial
 viscosity anywhere: the schemes' intrinsic dispersive/diffusive character
 is the point.
 
-A step allocates no array-sized temporaries: every term is written with
-`out=` ufuncs into a Workspace owned by the State, in the same order of
-operations as the formulas in the docstrings, so the results are
-bit-identical to evaluating those formulas directly.  When the host can
-build it, a C kernel (_step.c) does the same work in the same order of
-operations: the momentum assembly, the tridiagonal solve (a transcription
-of LAPACK dgtsv) and both mass updates.  Otherwise numpy and SciPy's
-dgtsv do it; both paths give the same bits, and only the second loads
+When the host can build it, a C kernel (_step.c) does a step's array
+work: the momentum assembly, the tridiagonal solve (a transcription of
+LAPACK dgtsv) and both mass updates, writing into a Workspace owned by
+the State, so that a compiled step allocates nothing.  The numpy layers
+are its references, plain expressions written in _step.c's order of
+operations: the self-check and the tests hold the kernel to their bits,
+and they are the fallback on a host without the kernel, with SciPy's
+dgtsv for the solve.  They allocate temporaries; only that path loads
 SciPy.  The same library holds io's CSV formatter (_format.cc).
 """
 from __future__ import annotations
@@ -52,23 +52,24 @@ class SolverError(RuntimeError):
 
 
 class Workspace:
-    """Preallocated work arrays of one grid.
+    """Preallocated work arrays of one grid: the rows that a step writes.
 
-    Interior-length rows hold the centred stencils, the assembly terms,
-    two scratch rows (a, b), the tridiagonal system and the new depths;
-    face-length rows hold the Lax-Wendroff half-step quantities; u_full is
-    the zero-ghost copy of the new velocities that scheme E reads.  The
-    rows share one block, so that releasing the workspace returns it to
-    the system whole instead of leaving holes in the heap.
+    Interior-length rows hold the tridiagonal system (sub, diag, sup), the
+    new depths (h_next) and one scratch row (a); face_flux holds the
+    Lax-Wendroff face fluxes of the compiled step; u_full is the new
+    velocity with zero ghosts, which scheme E reads, and rhs is its
+    interior, so the solve writes the new velocities straight into it.
+    The rows share one block, so that releasing the workspace returns it
+    to the system whole instead of leaving holes in the heap.
     """
 
     def __init__(self, n_cells: int, ghost_layers: int):
-        rows = np.zeros((19, n_cells + 2 * ghost_layers))
-        (self.ux, self.hx, self.uxx, self.uxxx, self.h2, self.h3, self.h2hx,
-         self.h3_3, self.a, self.b, self.sub, self.diag, self.sup, self.rhs,
-         self.h_next) = rows[:15, :n_cells]
-        self.face_h, self.face_flux, self.face_tmp = rows[15:18, :n_cells + 1]
-        self.u_full = rows[18]
+        rows = np.zeros((7, n_cells + 2 * ghost_layers))
+        (self.sub, self.diag, self.sup, self.h_next,
+         self.a) = rows[:5, :n_cells]
+        self.face_flux = rows[5, :n_cells + 1]
+        self.u_full = rows[6]
+        self.rhs = self.u_full[ghost_layers:ghost_layers + n_cells]
         self.mask = np.empty(n_cells, dtype=bool)
 
 
@@ -77,13 +78,6 @@ def _workspace(state: State) -> Workspace:
     if state.work is None:
         state.work = Workspace(state.grid.n_cells, state.grid.ghost_layers)
     return state.work
-
-
-def _product(out, p, q, r):
-    """out = (p * q) * r."""
-    np.multiply(p, q, out=out)
-    out *= r
-    return out
 
 
 def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
@@ -110,88 +104,36 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
 
 
 def _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work):
-    """assemble_momentum_system(...) by numpy."""
+    """assemble_momentum_system(...) by numpy, in _step.c's order of
+    operations."""
     c = slice(ng, -ng)
-    hp = h[ng + 1:-ng + 1]
-    hm = h[ng - 1:-ng - 1]
-    up = u[ng + 1:-ng + 1]
-    um = u[ng - 1:-ng - 1]
-    upp = u[ng + 2:]
-    umm = u[ng - 2:-ng - 2]
-    hc = h[c]
-    uc = u[c]
-    upc = u_prev[c]
-    upp1 = u_prev[ng + 1:-ng + 1]
-    upm1 = u_prev[ng - 1:-ng - 1]
-    ux, hx, uxx, uxxx = work.ux, work.hx, work.uxx, work.uxxx
-    h2, h3, h2hx, h3_3 = work.h2, work.h3, work.h2hx, work.h3_3
-    a, b = work.a, work.b
+    hc, uc, upc = h[c], u[c], u_prev[c]
+    up, um = u[ng + 1:-ng + 1], u[ng - 1:-ng - 1]
+    upp1, upm1 = u_prev[ng + 1:-ng + 1], u_prev[ng - 1:-ng - 1]
+    ux = (up - um) / (2.0 * dx)
+    hx = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) / (2.0 * dx)
+    uxx = ((up - uc * 2.0) + um) / dx ** 2
+    uxxx = ((((u[ng + 2:] - up * 2.0) + um * 2.0) - u[ng - 2:-ng - 2])
+            / (2.0 * dx ** 3))
+    h2 = hc * hc
+    h3 = h2 * hc
+    h2hx = h2 * hx
+    h3_3 = h3 / 3.0
+    x = (uc * hc * ux + hc * g * hx + h2hx * ux * ux + h3_3 * ux * uxx
+         - h2hx * uc * uxx - h3_3 * uc * uxxx)
+    y = (x * (2.0 * dt) - hc * upc + (upp1 - upm1) * h2hx / (2.0 * dx)
+         + ((upp1 - upc * 2.0) + upm1) * h3_3 / dx ** 2)
+    p = h2hx / (2.0 * dx)
+    q = h3 / (3.0 * dx ** 2)
     sub, diag, sup, rhs = work.sub, work.diag, work.sup, work.rhs
-
-    # ux = (up - um) / (2 dx);  hx = (hp - hm) / (2 dx)
-    np.subtract(up, um, out=ux)
-    ux /= 2.0 * dx
-    np.subtract(hp, hm, out=hx)
-    hx /= 2.0 * dx
-    # uxx = (up - 2 uc + um) / dx^2
-    np.multiply(uc, 2.0, out=uxx)
-    np.subtract(up, uxx, out=uxx)
-    uxx += um
-    uxx /= dx ** 2
-    # uxxx = (upp - 2 up + 2 um - umm) / (2 dx^3)
-    np.multiply(up, 2.0, out=uxxx)
-    np.subtract(upp, uxxx, out=uxxx)
-    uxxx += np.multiply(um, 2.0, out=a)
-    uxxx -= umm
-    uxxx /= 2.0 * dx ** 3
-    np.multiply(hc, hc, out=h2)
-    np.multiply(h2, hc, out=h3)
-    np.multiply(h2, hx, out=h2hx)
-    np.divide(h3, 3.0, out=h3_3)
-
-    # x_term = uc hc ux + g hc hx + h2hx ux ux + (h3/3) ux uxx
-    #          - h2hx uc uxx - (h3/3) uc uxxx, built in rhs
-    x_term = _product(rhs, uc, hc, ux)
-    x_term += _product(a, hc, g, hx)
-    x_term += _product(a, h2hx, ux, ux)
-    x_term += _product(a, h3_3, ux, uxx)
-    x_term -= _product(a, h2hx, uc, uxx)
-    x_term -= _product(a, h3_3, uc, uxxx)
-
-    # y = 2 dt x_term - hc upc + h2hx (upp1 - upm1) / (2 dx)
-    #     + (h3/3) (upp1 - 2 upc + upm1) / dx^2, also built in rhs
-    y = x_term
-    y *= 2.0 * dt
-    y -= np.multiply(hc, upc, out=a)
-    np.subtract(upp1, upm1, out=a)
-    a *= h2hx
-    a /= 2.0 * dx
-    y += a
-    np.multiply(upc, 2.0, out=a)
-    np.subtract(upp1, a, out=a)
-    a += upm1
-    a *= h3_3
-    a /= dx ** 2
-    y += a
-
-    # sub = p - q, sup = -p - q, diag = hc + 2 h3 / (3 dx^2) with
-    # p = h2hx / (2 dx) and q = h3 / (3 dx^2)
-    p = np.divide(h2hx, 2.0 * dx, out=a)
-    q = np.divide(h3, 3.0 * dx ** 2, out=b)
-    np.subtract(p, q, out=sub)
-    np.negative(p, out=sup)
-    sup -= q
-    np.multiply(h3, 2.0, out=diag)
-    diag /= 3.0 * dx ** 2
-    diag += hc
-    np.negative(y, out=rhs)
-    # fold the Dirichlet ghost velocities (zero) into the right-hand side
+    sub[:] = p - q
+    diag[:] = h3 * 2.0 / (3.0 * dx ** 2) + hc
+    sup[:] = -p - q
+    rhs[:] = -y
+    # fold the Dirichlet ghost velocities into the right-hand side
     rhs[0] -= sub[0] * u[ng - 1]
     rhs[-1] -= sup[-1] * u[-ng]
-    # the flag: |diag| > |sub| + |sup| on every row
-    off = np.abs(sub, out=a)
-    off += np.abs(sup, out=b)
-    return bool(np.greater(np.abs(diag, out=b), off, out=work.mask).all())
+    return bool((np.abs(diag) > np.abs(sub) + np.abs(sup)).all())
 
 
 def solve_tridiagonal(sub, diag, sup, rhs):
@@ -230,50 +172,26 @@ def _gtsv_lapack(sub, diag, sup, rhs):
 
 
 def _leapfrog_numpy(h, u, h_prev, dx, dt, ng, work):
-    """h_prev - dt (u (hp - hm) / dx + h (up - um) / dx) on the interior,
-    into work.h_next."""
+    """The depths of mass_update_leapfrog by numpy, in _step.c's order of
+    operations, into work.h_next."""
     c = slice(ng, -ng)
-    hp = h[ng + 1:-ng + 1]
-    hm = h[ng - 1:-ng - 1]
-    up = u[ng + 1:-ng + 1]
-    um = u[ng - 1:-ng - 1]
-    a, b = work.a, work.b
-    np.subtract(hp, hm, out=a)
-    a *= u[c]
-    a /= dx
-    np.subtract(up, um, out=b)
-    b *= h[c]
-    b /= dx
-    a += b
-    a *= dt
-    return np.subtract(h_prev[c], a, out=work.h_next)
+    a = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) * u[c] / dx
+    b = (u[ng + 1:-ng + 1] - u[ng - 1:-ng - 1]) * h[c] / dx
+    work.h_next[:] = h_prev[c] - (a + b) * dt
+    return work.h_next
 
 
 def _lax_wendroff_numpy(h, u, un1, dx, dt, ng, work):
-    """The two-step Lax-Wendroff depths of mass_update_lax_wendroff, into
-    work.h_next; un1 is the new velocity with ghosts."""
-    lam = dt / (2.0 * dx)
-    # faces i+1/2, i = ng-1 .. n+ng-1: right (R) and left (L) neighbours
+    """The depths of mass_update_lax_wendroff by numpy, in _step.c's order
+    of operations, into work.h_next; un1 is the new velocity with ghosts."""
+    # faces i+1/2, i = ng-1 .. n+ng-1: right (r) and left (l) neighbours
     h_r, h_l = h[ng:-ng + 1], h[ng - 1:-ng]
     u_r, u_l = u[ng:-ng + 1], u[ng - 1:-ng]
-    hf, flux, tmp = work.face_h, work.face_flux, work.face_tmp
-    # half-step depth hf = (h_r + h_l) / 2 - lam (u_r h_r - h_l u_l)
-    np.add(h_r, h_l, out=hf)
-    hf *= 0.5
-    np.multiply(u_r, h_r, out=flux)
-    flux -= np.multiply(h_l, u_l, out=tmp)
-    flux *= lam
-    hf -= flux
-    # half-step velocity (un1_r + u_r + un1_l + u_l) / 4, times hf
-    np.add(un1[ng:-ng + 1], u_r, out=flux)
-    flux += un1[ng - 1:-ng]
-    flux += u_l
-    flux *= 0.25
-    flux *= hf
-    # h - (dt / dx) (flux_{i+1/2} - flux_{i-1/2})
-    diff = np.subtract(flux[1:], flux[:-1], out=work.a)
-    diff *= dt / dx
-    return np.subtract(h[ng:-ng], diff, out=work.h_next)
+    # half-step depth times the four-point half-step velocity
+    hf = (h_r + h_l) * 0.5 - (u_r * h_r - h_l * u_l) * (dt / (2.0 * dx))
+    flux = (un1[ng:-ng + 1] + u_r + un1[ng - 1:-ng] + u_l) * 0.25 * hf
+    work.h_next[:] = h[ng:-ng] - (flux[1:] - flux[:-1]) * (dt / dx)
+    return work.h_next
 
 
 _KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC",
@@ -501,8 +419,8 @@ def _step_kernel():
 def momentum_update(state: State, config: SimConfig):
     """New interior velocities by direct tridiagonal elimination.
 
-    Returns (u_next, diag_dominant); u_next is a row of the state's
-    workspace.  Row i is strictly diagonally dominant iff
+    Returns (u_next, diag_dominant); u_next is the interior of the
+    workspace's u_full.  Row i is strictly diagonally dominant iff
     h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
     break this, so it is checked on every solve, and the solve pivots.
     """
@@ -570,8 +488,8 @@ def step(state: State, config: SimConfig):
         h_next = mass_update_leapfrog(state, config)
         u_next, dominant = momentum_update(state, config)
     else:
+        # u_next is the interior of work.u_full, whose ghosts stay zero
         u_next, dominant = momentum_update(state, config)
-        work.u_full[c] = u_next
         h_next = mass_update_lax_wendroff(state, work.u_full, config)
 
     min_h = float(h_next.min())

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import serrelab as sl
 from serrelab import cli, io
 from serrelab.cli import main
+from test_solvers import subprocess_env
 
 
 def write_config(path, **overrides):
@@ -193,6 +196,21 @@ class TestConverge:
         # per-cell directories carry their own file sets
         assert (out / "40" / "3" / "diagnostics.csv").exists()
         assert (out / "2" / "4" / "config.txt").exists()
+
+    def test_lake_at_rest_sweep_warns_nothing(self, tmp_path):
+        # u = 0 on every level, so L1_u is 0/0: nan, with no RuntimeWarning
+        man = write_manifest(tmp_path / "m.txt", h1=1.0, alphas="2",
+                             levels="2,3,4")
+        out = tmp_path / "sweep"
+        done = subprocess.run(
+            [sys.executable, "-m", "serrelab.cli", "converge", "--manifest",
+             str(man), "--out", str(out)], capture_output=True, text=True,
+            env=subprocess_env())
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        table = read_csv(out / "convergence.csv")
+        column = table[0].index("L1_u")
+        assert [row[column] for row in table[1:]] == ["nan", "nan", ""]
 
     def test_parallel_matches_serial(self, tmp_path):
         man = write_manifest(tmp_path / "m.txt", alphas="40")
