@@ -40,53 +40,49 @@ class DiagnosticsRecord:
     u_mean: float | None = None
 
 
-def _lagrange_matrices(offsets):
-    """Value and derivative weights of the quartic through the 5 offsets,
-    evaluated at the 3 Gauss nodes of the central cell (offset units of dx).
+def _lagrange_matrices(offsets0):
+    """Value and slope weights of the quartic through the 5 cells from
+    each offset in offsets0, evaluated at the 3 Gauss nodes of the cell at
+    offset 0 (offsets in units of dx): two arrays of shape
+    (len(offsets0), 3, 5).
     """
-    offsets = np.asarray(offsets, dtype=float)
-    v_nodes = np.vander(offsets, 5, increasing=True)        # p(z_j) = q_j
     pts = 0.5 * _GAUSS_NODES
     p_val = np.vander(pts, 5, increasing=True)
     p_der = np.zeros((3, 5))
     for k in range(1, 5):
         p_der[:, k] = k * pts ** (k - 1)
-    inv = np.linalg.inv(v_nodes)
-    return p_val @ inv, p_der @ inv
+    # p(z_j) = q_j at the five offsets
+    inv = [np.linalg.inv(np.vander(np.arange(off0, off0 + 5.0), 5,
+                                   increasing=True)) for off0 in offsets0]
+    return (np.stack([p_val @ m for m in inv]),
+            np.stack([p_der @ m for m in inv]))
 
 
-_CENTER_VAL, _CENTER_DER = _lagrange_matrices([-2, -1, 0, 1, 2])
-_EDGE = {off0: _lagrange_matrices(np.arange(off0, off0 + 5))
-         for off0 in (0, -1, -3, -4)}
+# first offsets of the one-sided stencils of cells 0, 1, n - 2 and n - 1;
+# entry 0 of each table is the centred stencil
+_EDGE_OFFSETS = (0, -1, -3, -4)
+_VALUE, _SLOPE = _lagrange_matrices((-2, *_EDGE_OFFSETS))
 
 
-def _gauss_samples(q, dx):
-    """Interpolant values and derivatives at the 3 Gauss nodes of each cell.
+def _gauss_samples(q, weights):
+    """The interpolant of q sampled with one weight table (_VALUE or
+    _SLOPE) at the 3 Gauss nodes of each cell: shape (3, n).
 
     Five-point centred stencils; one-sided at the first and last two cells.
-    Returns (values, derivatives) with shape (3, n); derivatives are d/dx.
+    Slopes are per unit offset: divide them by dx for d/dx.
     """
     n = len(q)
     if n < 5:
         raise ValueError("need at least 5 cells for the quartic interpolant")
-    vals = np.empty((3, n))
-    ders = np.empty((3, n))
-    for g in range(3):
-        acc_v = np.zeros(n - 4)
-        acc_d = np.zeros(n - 4)
-        for j in range(5):
-            seg = q[j:n - 4 + j]
-            acc_v += _CENTER_VAL[g, j] * seg
-            acc_d += _CENTER_DER[g, j] * seg
-        vals[g, 2:n - 2] = acc_v
-        ders[g, 2:n - 2] = acc_d
-    for cell, off0 in ((0, 0), (1, -1), (n - 2, -3), (n - 1, -4)):
-        m_val, m_der = _EDGE[off0]
-        stencil = q[cell + off0:cell + off0 + 5]
-        vals[:, cell] = m_val @ stencil
-        ders[:, cell] = m_der @ stencil
-    ders /= dx
-    return vals, ders
+    out = np.empty((3, n))
+    centre = weights[0]
+    # each node's five products added left to right, from 0
+    out[:, 2:n - 2] = sum(centre[:, j, None] * q[j:n - 4 + j]
+                          for j in range(5))
+    for m, cell, off0 in zip(weights[1:], (0, 1, n - 2, n - 1),
+                             _EDGE_OFFSETS):
+        out[:, cell] = m @ q[cell + off0:cell + off0 + 5]
+    return out
 
 
 def totals(snapshot: Snapshot, g: float = 9.81):
@@ -97,8 +93,9 @@ def totals(snapshot: Snapshot, g: float = 9.81):
     cells summed in fixed left-to-right order.
     """
     dx = snapshot.dx
-    h_vals, _ = _gauss_samples(snapshot.h, dx)
-    u_vals, u_ders = _gauss_samples(snapshot.u, dx)
+    h_vals = _gauss_samples(snapshot.h, _VALUE)
+    u_vals = _gauss_samples(snapshot.u, _VALUE)
+    u_ders = _gauss_samples(snapshot.u, _SLOPE) / dx
     energy = 0.5 * (h_vals * u_vals ** 2 + (h_vals ** 3 / 3.0) * u_ders ** 2
                     + g * h_vals ** 2)
     return tuple(float(np.cumsum((0.5 * dx) * (_GAUSS_WEIGHTS @ f))[-1])

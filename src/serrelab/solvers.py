@@ -54,23 +54,21 @@ class SolverError(RuntimeError):
 class Workspace:
     """Preallocated work arrays of one grid: the rows that a step writes.
 
-    Interior-length rows hold the tridiagonal system (sub, diag, sup), the
-    new depths (h_next) and one scratch row (a); face_flux holds the
-    Lax-Wendroff face fluxes of the compiled step; u_full is the new
-    velocity with zero ghosts, which scheme E reads, and rhs is its
-    interior, so the solve writes the new velocities straight into it.
-    The rows share one block, so that releasing the workspace returns it
-    to the system whole instead of leaving holes in the heap.
+    Interior-length rows hold the tridiagonal system (sub, diag, sup) and
+    the new depths (h_next); face_flux holds the Lax-Wendroff face fluxes
+    of the compiled step; u_full is the new velocity with zero ghosts,
+    which scheme E reads, and rhs is its interior, so the solve writes the
+    new velocities straight into it.  The rows share one block, so that
+    releasing the workspace returns it to the system whole instead of
+    leaving holes in the heap.
     """
 
     def __init__(self, n_cells: int, ghost_layers: int):
-        rows = np.zeros((7, n_cells + 2 * ghost_layers))
-        (self.sub, self.diag, self.sup, self.h_next,
-         self.a) = rows[:5, :n_cells]
-        self.face_flux = rows[5, :n_cells + 1]
-        self.u_full = rows[6]
+        rows = np.zeros((6, n_cells + 2 * ghost_layers))
+        self.sub, self.diag, self.sup, self.h_next = rows[:4, :n_cells]
+        self.face_flux = rows[4, :n_cells + 1]
+        self.u_full = rows[5]
         self.rhs = self.u_full[ghost_layers:ghost_layers + n_cells]
-        self.mask = np.empty(n_cells, dtype=bool)
 
 
 def _workspace(state: State) -> Workspace:
@@ -429,7 +427,7 @@ def momentum_update(state: State, config: SimConfig):
         state.h, state.u, state.u_prev, state.grid.dx, config.dt, config.g,
         state.grid.ghost_layers, work)
     u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs)
-    if not np.isfinite(u_next, out=work.mask).all():
+    if not (math.isfinite(u_next.min()) and math.isfinite(u_next.max())):
         raise SolverError("non-finite velocity after momentum solve")
     return u_next, dominant
 
@@ -483,21 +481,19 @@ def step(state: State, config: SimConfig):
     initial condition.  On SolverError the state is left as it was.
     """
     c = state.grid.interior
-    work = _workspace(state)
+    u_next, dominant = momentum_update(state, config)
     if config.scheme == "D":
         h_next = mass_update_leapfrog(state, config)
-        u_next, dominant = momentum_update(state, config)
     else:
-        # u_next is the interior of work.u_full, whose ghosts stay zero
-        u_next, dominant = momentum_update(state, config)
-        h_next = mass_update_lax_wendroff(state, work.u_full, config)
+        # u_next is the interior of state.work.u_full, whose ghosts stay zero
+        h_next = mass_update_lax_wendroff(state, state.work.u_full, config)
 
     min_h = float(h_next.min())
     if not (math.isfinite(min_h) and math.isfinite(h_next.max())):
         raise SolverError("non-finite depth after mass update")
     if not min_h > 0.0:
         raise SolverError(f"depth positivity lost (min h = {min_h:.3e})")
-    max_abs_u = float(np.abs(u_next, out=work.a).max())
+    max_abs_u = float(max(abs(u_next.min()), abs(u_next.max())))
 
     # rotate levels n -> n-1
     state.h_prev, state.h = state.h, state.h_prev

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import serrelab as sl
-from serrelab.diagnostics import (_GAUSS_WEIGHTS, _extrema_indices,
-                                  _gauss_samples)
+from serrelab.diagnostics import (_GAUSS_NODES, _GAUSS_WEIGHTS, _SLOPE,
+                                  _VALUE, _extrema_indices, _gauss_samples)
 from _cases import SWWE, make_config, run_case
 
 
@@ -61,20 +61,40 @@ def three_pass_totals(snapshot, g):
     dx = snapshot.dx
     out = []
     for quantity in ("h", "uh", "H"):
-        h_vals, h_ders = _gauss_samples(snapshot.h, dx)
+        h_vals = _gauss_samples(snapshot.h, _VALUE)
         if quantity == "h":
             integrand = h_vals
         else:
-            u_vals, u_ders = _gauss_samples(snapshot.u, dx)
+            u_vals = _gauss_samples(snapshot.u, _VALUE)
             if quantity == "uh":
                 integrand = u_vals * h_vals
             else:
+                u_ders = _gauss_samples(snapshot.u, _SLOPE) / dx
                 integrand = 0.5 * (h_vals * u_vals ** 2
                                    + (h_vals ** 3 / 3.0) * u_ders ** 2
                                    + g * h_vals ** 2)
         cell_totals = (0.5 * dx) * (_GAUSS_WEIGHTS @ integrand)
         out.append(float(np.cumsum(cell_totals)[-1]))
     return tuple(out)
+
+
+def per_cell_samples(q, weights):
+    """_gauss_samples(q, weights) cell by cell: a Python float sum of the
+    five products, left to right from 0.0, at each centred cell, and the
+    one-sided table times the first or the last five cells at the first
+    and last two cells."""
+    n = len(q)
+    out = np.empty((3, n))
+    for i in range(2, n - 2):
+        for g in range(3):
+            acc = 0.0
+            for j in range(5):
+                acc += float(weights[0, g, j]) * float(q[i - 2 + j])
+            out[g, i] = acc
+    for m, cell, first in zip(weights[1:], (0, 1, n - 2, n - 1),
+                              (0, 0, n - 5, n - 5)):
+        out[:, cell] = m @ q[first:first + 5]
+    return out
 
 
 class TestTotals:
@@ -88,6 +108,37 @@ class TestTotals:
                            lambda x: 1.0 + 0.3 * rng.random(len(x)),
                            lambda x: rng.standard_normal(len(x)))
         assert sl.totals(snap, 3.7) == three_pass_totals(snap, 3.7)
+
+    def test_sampler_exact_on_a_quartic(self):
+        # each stencil, the one-sided ones included, reproduces a quartic
+        # and its slope at the Gauss nodes of its own cell; totals alone
+        # would not see two edge cells swapping their samples
+        n, dx = 9, 0.5
+        centres = (np.arange(n) + 0.5) * dx
+        nodes = centres + 0.5 * dx * _GAUSS_NODES[:, None]
+        p = np.polynomial.Polynomial([0.3, -1.0, 0.5, 0.2, -0.1])
+        q = p(centres)
+        assert np.allclose(_gauss_samples(q, _VALUE), p(nodes),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(_gauss_samples(q, _SLOPE) / dx, p.deriv()(nodes),
+                           rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("weights", [_VALUE, _SLOPE],
+                             ids=["value", "slope"])
+    def test_sampler_matches_per_cell_loop_bit_for_bit(self, weights):
+        # magnitudes over about 35 binades, both signs and signed zeros,
+        # so that a reordered sum or a fused product shows in the bits
+        rng = np.random.default_rng(40)
+        for n in range(5, 41):
+            q = (np.exp(rng.uniform(-12.0, 12.0, n))
+                 * rng.choice([-1.0, 1.0], n))
+            q[rng.integers(0, n, 2)] = 0.0
+            q[rng.integers(0, n, 2)] = -0.0
+            got = _gauss_samples(q, weights)
+            want = per_cell_samples(q, weights)
+            assert got.shape == (3, n)
+            assert np.array_equal(got.view(np.int64),
+                                  want.view(np.int64)), n
 
 
 class TestConservationError:

@@ -208,6 +208,29 @@ class TestStep:
         assert err.value.step == len(err.value.log) == state.step
         assert 0 < err.value.step < cfg.n_steps
 
+    @pytest.mark.parametrize("scheme", ["D", "E"])
+    @pytest.mark.parametrize("path", ["numpy", "kernel"])
+    def test_non_finite_velocity_leaves_state(self, kernel, monkeypatch,
+                                              path, scheme):
+        # a NaN depth poisons its rows of the momentum system, so the solve
+        # returns NaN velocities: the step raises before it writes anything
+        chosen = None if path == "numpy" else kernel
+        monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+        cfg = small_config(scheme=scheme)
+        state = sl.smoothed_dambreak_ic(cfg)
+        sl.step(state, cfg)
+        state.h[state.grid.ghost_layers + 12] = math.nan
+        levels = ("h", "u", "h_prev", "u_prev")
+        before = {name: getattr(state, name).copy() for name in levels}
+        with pytest.raises(sl.SolverError,
+                           match="^non-finite velocity after momentum "
+                                 "solve$"):
+            sl.step(state, cfg)
+        for name in levels:
+            assert np.array_equal(getattr(state, name).view(np.int64),
+                                  before[name].view(np.int64)), name
+        assert (state.step, state.t) == (1, cfg.dt)
+
     def test_determinism(self):
         cfg = small_config(t_end=1.0)
         finals = []
