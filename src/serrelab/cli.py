@@ -75,30 +75,20 @@ def _refuse_used_dir(path: str, record: str) -> None:
         raise ConfigError(f"{path} already holds {record}; pass a new --out")
 
 
-def _write_stepping_output(run_dir: str, snapshots, log) -> None:
-    for snap in snapshots:
-        io.write_snapshot(os.path.join(run_dir, io.snapshot_filename(snap.t)),
-                          snap)
-    io.write_step_reports(os.path.join(run_dir, "step_report.csv"), log)
-
-
 def execute_run(config: SimConfig, run_dir: str):
     """Run one simulation and write its full file set into run_dir.
 
-    A run that fails still writes the snapshots and step log made before
-    the failure, but no diagnostics.csv.
+    Each snapshot file is written, and its diagnostics row computed, as
+    soon as the snapshot is taken, so a run that is killed keeps the
+    snapshots it finished.  step_report.csv and diagnostics.csv are
+    written at the end.  A run that fails keeps the snapshots it reached
+    and writes the step log up to the failure, but no diagnostics.csv.
+
+    Returns the last snapshot and the diagnostics records.
     """
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.txt"), "w") as fh:
         fh.write(format_config(config))
-
-    try:
-        # the state is not named, so it is freed before the output is written
-        snapshots, log = solvers.run_to(smoothed_dambreak_ic(config), config)
-    except solvers.SolverError as exc:
-        _write_stepping_output(run_dir, exc.snapshots, exc.log)
-        raise
-    _write_stepping_output(run_dir, snapshots, log)
     try:
         totals_0 = analytic_totals(config)
     except ConfigError:  # x0 is not the domain midpoint
@@ -107,10 +97,26 @@ def execute_run(config: SimConfig, run_dir: str):
     if config.h1 > config.h0:
         sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
                                             x0=config.x0)
-    records = [diagnostics.diagnose(snap, config.g, totals_0=totals_0, sol=sol)
-               for snap in snapshots]
+    records, last = [], None
+
+    def write_and_diagnose(snap):
+        nonlocal last
+        io.write_snapshot(os.path.join(run_dir, io.snapshot_filename(snap.t)),
+                          snap)
+        records.append(diagnostics.diagnose(snap, config.g,
+                                            totals_0=totals_0, sol=sol))
+        last = snap
+
+    step_report = os.path.join(run_dir, "step_report.csv")
+    try:
+        _, log = solvers.run_to(smoothed_dambreak_ic(config), config,
+                                sink=write_and_diagnose)
+    except solvers.SolverError as exc:
+        io.write_step_reports(step_report, exc.log)
+        raise
+    io.write_step_reports(step_report, log)
     io.write_diagnostics(os.path.join(run_dir, "diagnostics.csv"), records)
-    return snapshots, records
+    return last, records
 
 
 def cmd_run(args) -> int:
@@ -125,12 +131,12 @@ def _sweep_cell(manifest: ExperimentManifest, sweep_dir: str, cell):
     """Last snapshot and record of one (alpha, level) cell, or its error."""
     alpha, level = cell
     try:
-        snapshots, records = execute_run(
+        last, records = execute_run(
             manifest.configs[cell],
             os.path.join(sweep_dir, io.fmt(alpha), str(level)))
     except solvers.SolverError as exc:
         return str(exc)
-    return snapshots[-1], records[-1]
+    return last, records[-1]
 
 
 def cmd_converge(args) -> int:

@@ -40,8 +40,8 @@ class SolverError(RuntimeError):
     singular momentum system).
 
     run_to attaches the number of steps completed before the failure, and
-    the snapshots and the step log made by then, so that the caller can
-    keep them.
+    the snapshots its default sink collected and the step log made by
+    then, so that the caller can keep them.
     """
 
     def __init__(self, message: str):
@@ -507,25 +507,32 @@ def step(state: State, config: SimConfig):
     return state.step, state.t, min_h, max_abs_u, dominant
 
 
-def run_to(state: State, config: SimConfig):
+def run_to(state: State, config: SimConfig, sink=None):
     """Step the initial state to config.t_end, with a snapshot at each of
     config.snapshot_steps.
 
-    Returns (snapshots, log): row i of the log is step i + 1's
+    Each snapshot goes to sink(snapshot) as soon as it is taken, in time
+    order; the default sink collects them into the returned list.
+
+    Returns (snapshots, log): the snapshots the default sink collected
+    (none when a sink is given), and the log, whose row i is step i + 1's
     (step, t, min_h, max_abs_u, diag_dominant).  On solver failure the
     error carries the number of steps completed (its step, equal to the
-    length of its log), and the snapshots and the log rows made so far.
+    length of its log), and the collected snapshots and the log rows made
+    so far.
     """
     snapshots = []
+    if sink is None:
+        sink = snapshots.append
     log = np.empty((config.n_steps, 5))
     try:
         apply_euler_bootstrap(state, config)
         if 0 in config.snapshot_steps:
-            snapshots.append(take_snapshot(state))
+            sink(take_snapshot(state))
         for i in range(config.n_steps):
             log[i] = step(state, config)
             if state.step in config.snapshot_steps:
-                snapshots.append(take_snapshot(state))
+                sink(take_snapshot(state))
     except SolverError as exc:
         exc.step, exc.snapshots = state.step, snapshots
         exc.log = log[:state.step]

@@ -1,7 +1,9 @@
 import csv
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +112,42 @@ class TestRun:
         rows = read_csv(out / "step_report.csv")
         assert [int(row[0]) for row in rows[1:]] == list(
             range(1, failed_at + 1))
+        assert not (out / "diagnostics.csv").exists()
+
+    def test_killed_run_keeps_its_snapshots(self, tmp_path):
+        # snapshots at steps 0, 80 and 16 000: the run is killed when the
+        # second file appears, long before its last step
+        path = write_config(tmp_path / "c.txt", x0=500.0, domain_b=1000.0,
+                            dx=0.625, t_end=100.0, snapshot_times="0,0.5")
+        config = sl.parse_config_file(path)
+        first, second, last = (io.snapshot_filename(s * config.dt)
+                               for s in sorted(config.snapshot_steps))
+        full = tmp_path / "full"
+        start = time.monotonic()
+        assert main(["run", "--config", str(path), "--out", str(full)]) == 0
+        full_s = time.monotonic() - start
+
+        out = tmp_path / "killed"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "serrelab.cli", "run", "--config",
+             str(path), "--out", str(out)], env=subprocess_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        start = time.monotonic()
+        try:
+            # a run that writes only at its end shows no second file
+            # within the time of a whole run
+            while not (out / second).exists():
+                assert proc.poll() is None, "the run ended first"
+                assert time.monotonic() - start < full_s, \
+                    "no second snapshot within the time of a whole run"
+                time.sleep(0.002)
+            os.kill(proc.pid, signal.SIGKILL)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+        assert (out / first).read_bytes() == (full / first).read_bytes()
+        assert not (out / last).exists()
         assert not (out / "diagnostics.csv").exists()
 
     def test_t_end_between_steps_exit_2(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,51 @@ class TestTotals:
             assert got.shape == (3, n)
             assert np.array_equal(got.view(np.int64),
                                   want.view(np.int64)), n
+
+
+def total_bits(totals):
+    return [np.float64(v).view(np.int64) for v in totals]
+
+
+class TestTotalsChunks:
+    # both sides of each slice edge (TOTALS_CHUNK = 4 096), and the
+    # shortest grids, whose one slice is the whole array
+    @pytest.mark.parametrize("n", [5, 6, 7, 4094, 4095, 4096, 4097, 4098,
+                                   8191, 8192, 8193, 102400])
+    def test_chunked_sum_matches_one_pass_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        h = 1.0 + 0.8 * rng.random(n)
+        # u over about 150 binades, signed zeros and subnormals among them
+        u = np.exp(rng.uniform(-100.0, 3.0, n)) * rng.choice([-1.0, 1.0], n)
+        u[rng.integers(0, n, 3)] = 0.0
+        u[rng.integers(0, n, 3)] = -0.0
+        u[rng.integers(0, n, 3)] = 5e-320 * rng.choice([-1.0, 1.0], 3)
+        snap = snapshot_on(0.0, 0.01 * n, n, lambda x: h, lambda x: u)
+        assert total_bits(sl.totals(snap, 9.81)) == total_bits(
+            three_pass_totals(snap, 9.81))
+
+    def test_all_negative_zero_matches_one_pass(self):
+        n = 4097
+        snap = snapshot_on(0.0, 1.0, n, lambda x: np.full(n, -0.0),
+                           lambda x: np.full(n, -0.0))
+        assert total_bits(sl.totals(snap, 9.81)) == total_bits(
+            three_pass_totals(snap, 9.81))
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one pass over the whole array holds about fifteen (3, n)
+        # temporaries: 14 MiB at n = 102 400
+        n = 102400
+        rng = np.random.default_rng(3)
+        snap = snapshot_on(0.0, 1000.0, n,
+                           lambda x: 1.0 + 0.8 * rng.random(n),
+                           lambda x: rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            sl.totals(snap, 9.81)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestConservationError:

@@ -346,6 +346,26 @@ class TestRunTo:
         snapshots, _ = sl.run_to(state, cfg)
         assert [s.t for s in snapshots] == pytest.approx([0.5, 1.0])
 
+    def test_sink_takes_each_snapshot_as_it_is_taken(self):
+        cfg = small_config(snapshot_times=(0.0, 0.5, 0.75))
+        state = sl.smoothed_dambreak_ic(cfg)
+        taken = []
+
+        def sink(snap):
+            taken.append((snap, state.step))
+
+        streamed, log = sl.run_to(state, cfg, sink=sink)
+        snapshots, default_log = sl.run_to(sl.smoothed_dambreak_ic(cfg), cfg)
+        assert streamed == []
+        # each one before the next step, in time order
+        assert [step for _, step in taken] == [0, 20, 30, 40]
+        assert [s.t for s in snapshots] == [s.t for s, _ in taken] == [
+            step * cfg.dt for step in (0, 20, 30, 40)]
+        for got, (want, _) in zip(snapshots, taken):
+            assert np.array_equal(got.h.view(np.int64), want.h.view(np.int64))
+            assert np.array_equal(got.u.view(np.int64), want.u.view(np.int64))
+        assert np.array_equal(log, default_log)
+
     def test_failure_carries_last_snapshot(self):
         cfg = small_config(alpha=0.01, dx=12.5, dt_factor=2.0, t_end=1000.0,
                            snapshot_times=(0.0,))
