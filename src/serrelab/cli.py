@@ -78,11 +78,11 @@ def _refuse_used_dir(path: str, record: str) -> None:
 def execute_run(config: SimConfig, run_dir: str):
     """Run one simulation and write its full file set into run_dir.
 
-    Each snapshot file is written, and its diagnostics row computed, as
-    soon as the snapshot is taken, so a run that is killed keeps the
-    snapshots it finished.  step_report.csv and diagnostics.csv are
-    written at the end.  A run that fails keeps the snapshots it reached
-    and writes the step log up to the failure, but no diagnostics.csv.
+    run_to's sink writes each snapshot file, and computes its diagnostics
+    row, as soon as the snapshot is taken, so a run that is killed or
+    fails keeps the snapshots it finished.  step_report.csv and
+    diagnostics.csv are written at the end; a failed run writes the step
+    log that its SolverError carries, and no diagnostics.csv.
 
     Returns the last snapshot and the diagnostics records.
     """
@@ -109,8 +109,8 @@ def execute_run(config: SimConfig, run_dir: str):
 
     step_report = os.path.join(run_dir, "step_report.csv")
     try:
-        _, log = solvers.run_to(smoothed_dambreak_ic(config), config,
-                                sink=write_and_diagnose)
+        log = solvers.run_to(smoothed_dambreak_ic(config), config,
+                             write_and_diagnose)
     except solvers.SolverError as exc:
         io.write_step_reports(step_report, exc.log)
         raise

@@ -101,7 +101,9 @@ def totals(snapshot: Snapshot, g: float = 9.81):
     """
     dx = snapshot.dx
     n = len(snapshot.h)
-    sums = None
+    # -0.0 is the exact identity of IEEE addition, so the first slice
+    # keeps the bits of a plain cumsum, the sign of a -0 total included
+    sums = [-0.0] * 3
     for start in range(0, n, TOTALS_CHUNK):
         stop = min(start + TOTALS_CHUNK, n)
         # a short last slice reaches back to hold the 5-cell stencil
@@ -115,10 +117,8 @@ def totals(snapshot: Snapshot, g: float = 9.81):
                         + g * h_vals ** 2)
         cells = [(0.5 * dx) * (_GAUSS_WEIGHTS @ f)
                  for f in (h_vals, u_vals * h_vals, energy)]
-        # the first slice takes no carry, so that a -0 total keeps its sign
-        if sums is not None:
-            cells = [np.concatenate(([s], c)) for s, c in zip(sums, cells)]
-        sums = [np.cumsum(c)[-1] for c in cells]
+        sums = [np.cumsum(np.concatenate(([s], c)))[-1]
+                for s, c in zip(sums, cells)]
     return tuple(float(s) for s in sums)
 
 
@@ -238,19 +238,22 @@ def _extrema_indices(h):
     return changes
 
 
+def _window_amplitude(x_ext, h_ext, lo: float, hi: float) -> float:
+    """Half the crest-to-trough height of the extrema (x_ext, h_ext) inside
+    [lo, hi]; zero when fewer than two fall inside."""
+    vals = h_ext[(x_ext >= lo) & (x_ext <= hi)]
+    if len(vals) < 2:
+        return 0.0
+    return 0.5 * float(vals.max() - vals.min())
+
+
 def oscillation_amplitude(snapshot: Snapshot, lo: float, hi: float) -> float:
     """Half the crest-to-trough height of oscillations inside [lo, hi].
 
     Zero when fewer than two extrema fall inside the window.
     """
     idx = _extrema_indices(snapshot.h)
-    if len(idx) == 0:
-        return 0.0
-    in_window = (snapshot.x[idx] >= lo) & (snapshot.x[idx] <= hi)
-    vals = snapshot.h[idx[in_window]]
-    if len(vals) < 2:
-        return 0.0
-    return 0.5 * float(vals.max() - vals.min())
+    return _window_amplitude(snapshot.x[idx], snapshot.h[idx], lo, hi)
 
 
 def classify_structure(snapshot: Snapshot, sol: SwweSolution) -> str:
@@ -271,13 +274,14 @@ def classify_structure(snapshot: Snapshot, sol: SwweSolution) -> str:
     x_tail = sol.x0 + t * (sol.u2 - c2)
     x_front = sol.x_shock(t)
 
-    amp_all = oscillation_amplitude(snapshot, x_tail, x_front)
+    idx = _extrema_indices(snapshot.h)
+    extrema = snapshot.x[idx], snapshot.h[idx]
     eps1, rho = OSCILLATION_FLOOR, AMPLITUDE_RATIO
-    if amp_all < eps1:
+    if _window_amplitude(*extrema, x_tail, x_front) < eps1:
         return "S1"
-    amp_mid = oscillation_amplitude(snapshot, x_u2 - 10.0, x_u2 + 10.0)
-    amp_lf = oscillation_amplitude(snapshot, x_u2 - 30.0, x_u2 - 10.0)
-    amp_rf = oscillation_amplitude(snapshot, x_u2 + 10.0, x_u2 + 30.0)
+    amp_mid = _window_amplitude(*extrema, x_u2 - 10.0, x_u2 + 10.0)
+    amp_lf = _window_amplitude(*extrema, x_u2 - 30.0, x_u2 - 10.0)
+    amp_rf = _window_amplitude(*extrema, x_u2 + 10.0, x_u2 + 30.0)
     if amp_mid < eps1 and max(amp_lf, amp_rf) >= eps1:
         return "S2"
     if amp_mid < rho * min(amp_lf, amp_rf):

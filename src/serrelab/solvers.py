@@ -39,15 +39,14 @@ class SolverError(RuntimeError):
     """Fatal stepping failure (positivity loss, non-finite values,
     singular momentum system).
 
-    run_to attaches the number of steps completed before the failure, and
-    the snapshots its default sink collected and the step log made by
-    then, so that the caller can keep them.
+    run_to attaches the number of steps completed before the failure and
+    the step log made by then, so that the caller can keep them; the
+    snapshots taken by then have already gone to its sink.
     """
 
     def __init__(self, message: str):
         super().__init__(message)
         self.step = None
-        self.snapshots = []
         self.log = np.empty((0, 5))
 
 
@@ -507,23 +506,18 @@ def step(state: State, config: SimConfig):
     return state.step, state.t, min_h, max_abs_u, dominant
 
 
-def run_to(state: State, config: SimConfig, sink=None):
+def run_to(state: State, config: SimConfig, sink):
     """Step the initial state to config.t_end, with a snapshot at each of
     config.snapshot_steps.
 
     Each snapshot goes to sink(snapshot) as soon as it is taken, in time
-    order; the default sink collects them into the returned list.
+    order.
 
-    Returns (snapshots, log): the snapshots the default sink collected
-    (none when a sink is given), and the log, whose row i is step i + 1's
-    (step, t, min_h, max_abs_u, diag_dominant).  On solver failure the
-    error carries the number of steps completed (its step, equal to the
-    length of its log), and the collected snapshots and the log rows made
-    so far.
+    Returns the log, whose row i is step i + 1's (step, t, min_h,
+    max_abs_u, diag_dominant).  On solver failure the error carries the
+    number of steps completed (its step, equal to the length of its log)
+    and the log rows made so far.
     """
-    snapshots = []
-    if sink is None:
-        sink = snapshots.append
     log = np.empty((config.n_steps, 5))
     try:
         apply_euler_bootstrap(state, config)
@@ -534,7 +528,6 @@ def run_to(state: State, config: SimConfig, sink=None):
             if state.step in config.snapshot_steps:
                 sink(take_snapshot(state))
     except SolverError as exc:
-        exc.step, exc.snapshots = state.step, snapshots
-        exc.log = log[:state.step]
+        exc.step, exc.log = state.step, log[:state.step]
         raise
-    return snapshots, log
+    return log

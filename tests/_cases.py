@@ -19,13 +19,20 @@ def make_config(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
                         dx=10.0 / 2 ** k, t_end=t_end, scheme=scheme, **kw)
 
 
+def collect(state, config):
+    """Run to config.t_end through a list sink: (snapshots, log)."""
+    snapshots = []
+    log = sl.run_to(state, config, snapshots.append)
+    return snapshots, log
+
+
 @functools.lru_cache(maxsize=None)
 def run_case(alpha, k, t_end, scheme="D", domain=(0.0, 1000.0),
              h0=1.0, h1=1.8, times=()):
     """Run one dam-break case; returns ({t: snapshot}, config)."""
     config = make_config(alpha, k, t_end, scheme, domain, h0, h1,
                          snapshot_times=times)
-    snapshots, _ = sl.run_to(sl.smoothed_dambreak_ic(config), config)
+    snapshots, _ = collect(sl.smoothed_dambreak_ic(config), config)
     return {s.t: s for s in snapshots}, config
 
 

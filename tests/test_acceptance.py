@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import serrelab as sl
-from _cases import SWWE, WHITHAM, make_config, momentum_system, run_case
+from _cases import (SWWE, WHITHAM, collect, make_config, momentum_system,
+                    run_case)
 
 
 def test_criterion_1_swwe_constants():
@@ -174,7 +175,7 @@ def test_criterion_8_property_suite():
     cfg = make_config(2.0, 4, 1.0)
     results = []
     for _ in range(2):
-        snapshots, _ = sl.run_to(sl.smoothed_dambreak_ic(cfg), cfg)
+        snapshots, _ = collect(sl.smoothed_dambreak_ic(cfg), cfg)
         results.append(snapshots[-1])
     assert np.array_equal(results[0].h, results[1].h)
     assert np.array_equal(results[0].u, results[1].u)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import serrelab as sl
+from serrelab import diagnostics
 from serrelab.diagnostics import (_GAUSS_NODES, _GAUSS_WEIGHTS, _SLOPE,
                                   _VALUE, _extrema_indices, _gauss_samples)
-from _cases import SWWE, make_config, run_case
+from _cases import SWWE, collect, make_config, run_case
 
 
 def snapshot_on(a, b, n, h_fn, u_fn, t=0.0):
@@ -202,7 +203,7 @@ class TestConservationError:
         cfg = sl.SimConfig(h0=1.4, h1=1.4, x0=50.0, alpha=2.0, domain_a=0.0,
                            domain_b=100.0, dx=1.25, t_end=1.25, scheme="D")
         state = sl.smoothed_dambreak_ic(cfg)
-        snaps, _ = sl.run_to(state, cfg)
+        snaps, _ = collect(state, cfg)
         totals_0 = sl.analytic_totals(cfg)
         _, c1_uh, _ = sl.conservation_error(totals_0, snaps[-1], cfg.g,
                                             sl.totals(snaps[-1], cfg.g))
@@ -416,6 +417,16 @@ class TestClassifier:
         snap = snapshot_on(0.0, 100.0, 200, lambda x: np.ones_like(x),
                            lambda x: np.zeros_like(x), t=30.0)
         assert sl.classify_structure(snap, SWWE) == "Unclassified"
+
+    def test_one_extrema_pass_per_snapshot(self, monkeypatch):
+        # an S3 bore reaches all four windows
+        snap = synthetic_bore(30.0, 0.02, 0.08)
+        calls = []
+        extrema = diagnostics._extrema_indices
+        monkeypatch.setattr(diagnostics, "_extrema_indices",
+                            lambda h: calls.append(1) or extrema(h))
+        assert sl.classify_structure(snap, SWWE) == "S3"
+        assert len(calls) == 1
 
     def test_velocity_shift_invariance(self):
         snap = synthetic_bore(30.0, 0.0, 0.05)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import serrelab as sl
-from _cases import make_config
+from _cases import collect, make_config
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "serre_d_e.npz")
 CASES = [(40.0, "D"), (40.0, "E"), (0.4, "D"), (0.4, "E")]
@@ -29,7 +29,7 @@ T_END = 2.0
 def run_golden_case(alpha, scheme):
     """Final profiles and step-log columns of one golden case."""
     config = make_config(alpha, 4, T_END, scheme=scheme)
-    snapshots, log = sl.run_to(sl.smoothed_dambreak_ic(config), config)
+    snapshots, log = collect(sl.smoothed_dambreak_ic(config), config)
     return {
         "h": snapshots[-1].h,
         "u": snapshots[-1].u,
