@@ -4,12 +4,35 @@
  *
  * Each function repeats its numpy (or LAPACK) counterpart term by term,
  * in its order of operations, with the same constants (computed in
- * Python), so that the results are bit-identical to it.  That holds only
- * when the compiler keeps each multiply and add apart: build with
- * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ * Python), so that the results are bit-identical to it until a subnormal
+ * appears; the x86-64 kernel flushes it, the numpy fallback does not.
+ * That holds only when the compiler keeps each multiply and add apart:
+ * build with -ffp-contract=off (no fused multiply-add) and never with
+ * -ffast-math.
+ *
+ * On x86-64 each function runs with flush-to-zero and denormals-are-zero
+ * set in MXCSR: a subnormal input reads as a zero of its sign, and a
+ * result that would be subnormal is written as one.  Far from the bore
+ * the velocity decays through the subnormal range, where each operation
+ * would otherwise take a microcode assist.  The caller's MXCSR is saved
+ * on entry and restored before every return, so the mode never outlives
+ * a call and nothing else in the process (numpy, the CSV formatter)
+ * sees it.
  */
 #include <math.h>
 #include <stddef.h>
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+/* MXCSR's flush-to-zero (0x8000) and denormals-are-zero (0x0040) bits */
+#define FLUSH_ON() \
+    const unsigned int caller_csr = _mm_getcsr(); \
+    _mm_setcsr(caller_csr | 0x8040u)
+#define FLUSH_OFF() _mm_setcsr(caller_csr)
+#else
+#define FLUSH_ON()
+#define FLUSH_OFF()
+#endif
 
 /* The momentum system of solvers.assemble_momentum_system and the
  * diagonal-dominance check of solvers.momentum_update, in one pass.
@@ -26,6 +49,7 @@ int assemble_momentum(const double *restrict h, const double *restrict u,
                       double g, double two_dx, double dx2, double two_dx3,
                       double three_dx2, double two_dt)
 {
+    FLUSH_ON();
     int dominant = 1;
     h += ng;
     u += ng;
@@ -71,6 +95,7 @@ int assemble_momentum(const double *restrict h, const double *restrict u,
         rhs[0] -= sub[0] * u[-1];
         rhs[n - 1] -= sup[n - 1] * u[n];
     }
+    FLUSH_OFF();
     return dominant;
 }
 
@@ -90,6 +115,7 @@ ptrdiff_t gtsv(ptrdiff_t n, double *restrict dl, double *restrict d,
     double fact, temp;
     if (n == 0)
         return 0;
+    FLUSH_ON();
     for (ptrdiff_t i = 0; i < n - 2; i++) {
         if (fabs(d[i]) >= fabs(dl[i])) {
             /* no row interchange required */
@@ -98,6 +124,7 @@ ptrdiff_t gtsv(ptrdiff_t n, double *restrict dl, double *restrict d,
                 d[i + 1] = d[i + 1] - fact * du[i];
                 b[i + 1] = b[i + 1] - fact * b[i];
             } else {
+                FLUSH_OFF();
                 return i + 1;
             }
             dl[i] = 0.0;
@@ -123,6 +150,7 @@ ptrdiff_t gtsv(ptrdiff_t n, double *restrict dl, double *restrict d,
                 d[i + 1] = d[i + 1] - fact * du[i];
                 b[i + 1] = b[i + 1] - fact * b[i];
             } else {
+                FLUSH_OFF();
                 return i + 1;
             }
         } else {
@@ -136,8 +164,10 @@ ptrdiff_t gtsv(ptrdiff_t n, double *restrict dl, double *restrict d,
             b[i + 1] = temp - fact * b[i + 1];
         }
     }
-    if (d[n - 1] == 0.0)
+    if (d[n - 1] == 0.0) {
+        FLUSH_OFF();
         return n;
+    }
 
     /* back solve with the matrix U from the factorization */
     b[n - 1] = b[n - 1] / d[n - 1];
@@ -145,6 +175,7 @@ ptrdiff_t gtsv(ptrdiff_t n, double *restrict dl, double *restrict d,
         b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2];
     for (ptrdiff_t i = n - 3; i >= 0; i--)
         b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
+    FLUSH_OFF();
     return 0;
 }
 
@@ -156,6 +187,7 @@ void mass_leapfrog(const double *restrict h, const double *restrict u,
                    const double *restrict h_prev, double *restrict h_next,
                    ptrdiff_t n, ptrdiff_t ng, double dx, double dt)
 {
+    FLUSH_ON();
     h += ng;
     u += ng;
     h_prev += ng;
@@ -164,6 +196,7 @@ void mass_leapfrog(const double *restrict h, const double *restrict u,
         double b = (u[i + 1] - u[i - 1]) * h[i] / dx;
         h_next[i] = h_prev[i] - (a + b) * dt;
     }
+    FLUSH_OFF();
 }
 
 /* solvers.mass_update_lax_wendroff: the n + 1 face fluxes into flux, then
@@ -175,6 +208,7 @@ void mass_lax_wendroff(const double *restrict h, const double *restrict u,
                        double *restrict h_next, ptrdiff_t n, ptrdiff_t ng,
                        double lam, double dt_dx)
 {
+    FLUSH_ON();
     /* face i + 1/2 between cells ng - 1 + i (left) and ng + i (right) */
     h += ng;
     u += ng;
@@ -186,4 +220,5 @@ void mass_lax_wendroff(const double *restrict h, const double *restrict u,
     }
     for (ptrdiff_t i = 0; i < n; i++)
         h_next[i] = h[i] - (flux[i + 1] - flux[i]) * dt_dx;
+    FLUSH_OFF();
 }

@@ -14,8 +14,10 @@ the State, so that a compiled step allocates nothing.  The numpy layers
 are its references, plain expressions written in _step.c's order of
 operations: the self-check and the tests hold the kernel to their bits,
 and they are the fallback on a host without the kernel, with SciPy's
-dgtsv for the solve.  They allocate temporaries; only that path loads
-SciPy.  The same library holds io's CSV formatter (_format.cc).
+dgtsv for the solve.  Both paths give the same bits until a subnormal
+appears; the x86-64 kernel flushes it, the numpy fallback does not.  The
+numpy layers allocate temporaries; only that path loads SciPy.  The same
+library holds io's CSV formatter (_format.cc).
 """
 from __future__ import annotations
 
@@ -79,7 +81,8 @@ def _workspace(state: State) -> Workspace:
 
 def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
     """Tridiagonal system for the new interior velocities, written into
-    work.sub/diag/sup/rhs by the C kernel or by numpy (the same bits).
+    work.sub/diag/sup/rhs by the C kernel or by numpy (the same bits until
+    a subnormal appears; the x86-64 kernel flushes it, numpy does not).
 
     The implicit operator is the centred discretisation of
     h u_t - d/dx((h^3/3) du_t/dx), expanded so that row i reads
@@ -140,7 +143,9 @@ def solve_tridiagonal(sub, diag, sup, rhs):
 
     LAPACK dgtsv: Gaussian elimination with partial pivoting, run by its
     C transcription in _step.c, or by SciPy's LAPACK when the kernel is
-    unavailable; both give the same bits.  sub[0] and sup[-1] lie outside
+    unavailable.  Both give the same bits until a subnormal appears; the
+    x86-64 kernel flushes it, the numpy fallback does not, so that a
+    subnormal pivot is a zero pivot there.  sub[0] and sup[-1] lie outside
     the matrix and are ignored.  A system of fewer than 2 rows raises
     ValueError; an exactly singular matrix (a zero pivot) raises
     SolverError.
@@ -276,7 +281,8 @@ def _kernel_agrees(kernel) -> bool:
     with a small dt hides a reordered product.  exp and sinh spread the
     values over several binades; uniform draws share one binary grid, on
     which most sums are exact whatever their order.  Last, the formatter
-    must write Python's "%.17g" bytes (see _format_agrees)."""
+    must write Python's "%.17g" bytes (see _format_agrees).  No value or
+    intermediate is subnormal, so the x86-64 kernel's flush never acts."""
     n, ng = 67, 2
     rng = np.random.default_rng(67)
     h, h_prev = np.exp(rng.uniform(-1.0, 1.0, (2, n + 2 * ng)))

@@ -18,7 +18,7 @@ from serrelab import solvers
 from serrelab.solvers import (mass_update_lax_wendroff, mass_update_leapfrog,
                               momentum_update, solve_tridiagonal)
 from _cases import collect, make_config, momentum_system, run_case
-from test_golden import CASES, GOLDEN, case_key, run_golden_case
+from test_golden import CASES, GOLDEN, X86_64, agrees, run_golden_case
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -486,6 +486,16 @@ def cells(length, lo, hi):
     return arrays(np.float64, length, elements=st.floats(lo, hi))
 
 
+def signed_cells(length, hi):
+    """Strategy for an array of `length` cells of either sign, with
+    magnitudes in {0} and [1e-100, hi]: on such data no intermediate of
+    the kernel leaves the normal range, so that the x86-64 kernel's flush
+    of subnormals never acts (TestFlush tests that range)."""
+    return arrays(np.float64, length, elements=(
+        st.sampled_from([0.0, -0.0]) | st.floats(1e-100, hi)
+        | st.floats(-hi, -1e-100)))
+
+
 class TestAssemblyKernel:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 300),
@@ -493,8 +503,8 @@ class TestAssemblyKernel:
     def test_matches_numpy_bit_for_bit(self, kernel, data, n, dx, dt):
         # n from 1 to 300 reaches every length of the vector tail
         h = data.draw(cells(n + 4, 0.01, 10.0))
-        u = data.draw(cells(n + 4, -10.0, 10.0))
-        u_prev = data.draw(cells(n + 4, -10.0, 10.0))
+        u = data.draw(signed_cells(n + 4, 10.0))
+        u_prev = data.draw(signed_cells(n + 4, 10.0))
         expected, flag, got, got_flag = both_assemblies(
             kernel, h, u, u_prev, dx, dt)
         assert got_flag == flag
@@ -547,11 +557,12 @@ class TestAssemblyKernel:
                 (solvers, "_lax_wendroff_numpy", "lax_wendroff")):
             monkeypatch.setattr(module, attr,
                                 counted(name, getattr(module, attr)))
+        # the numpy path keeps the subnormal velocities that the x86-64
+        # kernel flushes: at alpha = 0.4 its u is bounded, not bit-equal
         with np.load(GOLDEN) as golden:
             for alpha, scheme in CASES:
                 for name, value in run_golden_case(alpha, scheme).items():
-                    assert np.array_equal(
-                        value, golden[case_key(alpha, scheme, name)]), name
+                    assert agrees(golden, alpha, scheme, name, value), name
         if path == "numpy":
             assert all(calls.values()), calls
         else:
@@ -673,8 +684,8 @@ class TestMassUpdateKernel:
     def test_both_updates_bit_for_bit(self, kernel, data, n, dx, dt):
         h, h_prev = data.draw(cells(n + 4, 0.01, 10.0)), data.draw(
             cells(n + 4, 0.01, 10.0))
-        u, u_next = data.draw(cells(n + 4, -10.0, 10.0)), data.draw(
-            cells(n + 4, -10.0, 10.0))
+        u, u_next = data.draw(signed_cells(n + 4, 10.0)), data.draw(
+            signed_cells(n + 4, 10.0))
         expected, got = solvers.Workspace(n, 2), solvers.Workspace(n, 2)
         for numpy_update, kernel_update, third in (
                 (solvers._leapfrog_numpy, solvers._leapfrog_with_kernel,
@@ -685,6 +696,136 @@ class TestMassUpdateKernel:
             have = kernel_update(kernel, h, u, third, dx, dt, 2, got)
             assert np.array_equal(have.view(np.int64),
                                   want.view(np.int64)), numpy_update
+
+
+def subnormal(a):
+    """Where a holds a subnormal (nonzero, below the smallest normal)."""
+    return (a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny)
+
+
+def flush(a):
+    """a with each subnormal replaced by a zero of its sign."""
+    return np.where(subnormal(a), np.copysign(0.0, a), a)
+
+
+def underflowing(rng, shape):
+    """Values of either sign, half of them of order one and the rest
+    spread over 1e-320 to 1e-290: about a fifth, and at least one, are
+    subnormal, and many products and differences underflow."""
+    tiny = 10.0 ** rng.uniform(-320.0, -290.0, shape)
+    ordinary = np.exp(rng.uniform(-1.0, 1.0, shape))
+    values = rng.choice([-1.0, 1.0], shape) * np.where(
+        rng.random(shape) < 0.5, ordinary, tiny)
+    values.flat[rng.integers(values.size)] = rng.choice([-1e-310, 1e-310])
+    return values
+
+
+def kernel_outputs(kernel, cells, system):
+    """What the four kernel entry points write, on cells (3, n + 4) as
+    h, u and a third level (u_prev, h_prev, the new velocity) and on a
+    tridiagonal system (4, n): ({name: array}, (dominant, info))."""
+    h, u, w = cells
+    n = len(h) - 4
+    work = solvers.Workspace(n, 2)
+    dominant = solvers._assemble_with_kernel(kernel, h, u, w, 0.3, 0.7,
+                                             9.81, 2, work)
+    out = {row: getattr(work, row).copy() for row in ROWS}
+    x, info = solvers._gtsv_with_kernel(kernel, *system.copy())
+    out["x"] = x
+    out["leapfrog"] = solvers._leapfrog_with_kernel(
+        kernel, h, u, w, 0.3, 0.7, 2, work).copy()
+    out["lax_wendroff"] = solvers._lax_wendroff_with_kernel(
+        kernel, h, u, w, 0.3, 0.7, 2, work).copy()
+    out["face_flux"] = work.face_flux.copy()
+    return out, (dominant, info)
+
+
+def keeps_gradual_underflow():
+    """Whether this thread's arithmetic still keeps subnormals: neither
+    flush-to-zero nor denormals-are-zero is set.  Bits are compared, since
+    under denormals-are-zero 0.0 == 5e-324 holds."""
+    return (np.float64(5e-324) * 1.0).tobytes() == np.float64(
+        5e-324).tobytes()
+
+
+@pytest.mark.skipif(not X86_64, reason="the kernel flushes on x86-64 only")
+class TestFlush:
+    """The x86-64 kernel runs with flush-to-zero (FTZ) and
+    denormals-are-zero (DAZ) set, and only inside its calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_subnormal_inputs_read_as_signed_zeros(self, kernel, n, seed):
+        # DAZ: a subnormal input gives the bits of a zero of its sign
+        rng = np.random.default_rng(seed)
+        cells, system = underflowing(rng, (3, n + 4)), underflowing(
+            rng, (4, n))
+        out, scalars = kernel_outputs(kernel, cells, system)
+        zeroed, zeroed_scalars = kernel_outputs(kernel, flush(cells),
+                                                flush(system))
+        assert scalars == zeroed_scalars
+        for name, value in out.items():
+            # a singular solve leaves the rows after its zero pivot as they
+            # came in, subnormals included; flush() zeroes those copies
+            assert np.array_equal(flush(value).view(np.int64),
+                                  zeroed[name].view(np.int64)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_no_output_is_subnormal(self, kernel, n, seed):
+        # FTZ: a result that would be subnormal is written as a zero
+        rng = np.random.default_rng(seed)
+        out, (_, info) = kernel_outputs(kernel, underflowing(rng, (3, n + 4)),
+                                        underflowing(rng, (4, n)))
+        if info != 0:
+            del out["x"]  # rows left as they came in
+        for name, value in out.items():
+            assert not subnormal(value).any(), name
+
+    def test_golden_steep_cases_underflow_on_numpy_path_only(
+            self, kernel, monkeypatch):
+        # the documented divergence of the two paths
+        for chosen, underflows in ((kernel, False), (None, True)):
+            monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+            for scheme in "DE":
+                u = run_golden_case(0.4, scheme)["u"]
+                assert subnormal(u).any() == underflows, (chosen, scheme)
+
+    def test_mode_never_leaks(self, kernel, monkeypatch):
+        rng = np.random.default_rng(5)
+        h, u, w = underflowing(rng, (3, 13))
+        work = solvers.Workspace(9, 2)
+        system = random_system(9, 5)
+        system[3] = underflowing(rng, 9)  # a solution that underflows
+        singular = np.zeros((4, 9))
+        singular[1] = 1.0
+        singular[1, 4] = 0.0  # a zero pivot: info = 5
+        calls = {
+            "assemble": lambda: solvers._assemble_with_kernel(
+                kernel, h, u, w, 0.3, 0.7, 9.81, 2, work),
+            "solve": lambda: solvers._gtsv_with_kernel(kernel, *system),
+            "singular solve": lambda: solvers._gtsv_with_kernel(
+                kernel, *singular),
+            "leapfrog": lambda: solvers._leapfrog_with_kernel(
+                kernel, h, u, w, 0.3, 0.7, 2, work),
+            "lax_wendroff": lambda: solvers._lax_wendroff_with_kernel(
+                kernel, h, u, w, 0.3, 0.7, 2, work),
+        }
+        assert keeps_gradual_underflow()
+        results = {}
+        for name, call in calls.items():
+            results[name] = call()
+            assert keeps_gradual_underflow(), name
+        assert [results[name][1] for name in ("solve", "singular solve")
+                ] == [0, 5]
+        # a NaN depth gives NaN velocities, and the step raises
+        monkeypatch.setattr(solvers, "_step_kernel", lambda: kernel)
+        cfg = small_config()
+        state = sl.smoothed_dambreak_ic(cfg)
+        state.h[state.grid.ghost_layers + 12] = math.nan
+        with pytest.raises(sl.SolverError, match="non-finite velocity"):
+            sl.step(state, cfg)
+        assert keeps_gradual_underflow()
 
 
 def variant_refused(cache, tmp_path, monkeypatch, name, original, variant):
@@ -814,10 +955,10 @@ class TestKernelBuild:
             from serrelab import solvers
             if sys.argv[1] == "numpy":
                 solvers._step_kernel = lambda: None
-            from test_golden import GOLDEN, case_key, run_golden_case
+            from test_golden import GOLDEN, agrees, run_golden_case
             with np.load(GOLDEN) as golden:
                 same = all(
-                    np.array_equal(value, golden[case_key(alpha, scheme, name)])
+                    agrees(golden, alpha, scheme, name, value)
                     for alpha, scheme in ((0.4, "D"), (0.4, "E"))
                     for name, value in run_golden_case(alpha, scheme).items())
             print(same, solvers._step_kernel() is not None,
