@@ -3,12 +3,12 @@
  * leapfrog (D) and Lax-Wendroff (E) mass updates.
  *
  * Each function repeats its numpy (or LAPACK) counterpart term by term,
- * in its order of operations, with the same constants (computed in
- * Python), so that the results are bit-identical to it until a subnormal
- * appears; the x86-64 kernel flushes it, the numpy fallback does not.
- * That holds only when the compiler keeps each multiply and add apart:
- * build with -ffp-contract=off (no fused multiply-add) and never with
- * -ffast-math.
+ * in its order of operations, with the same constants, divided as numpy
+ * divides them, so that the results are bit-identical to it until a
+ * subnormal appears; the x86-64 kernel flushes it, the numpy fallback
+ * does not.  That holds only when the compiler keeps each multiply and
+ * add apart: build with -ffp-contract=off (no fused multiply-add) and
+ * never with -ffast-math.
  *
  * On x86-64 each function runs with flush-to-zero and denormals-are-zero
  * set in MXCSR: a subnormal input reads as a zero of its sign, and a
@@ -199,26 +199,35 @@ void mass_leapfrog(const double *restrict h, const double *restrict u,
     FLUSH_OFF();
 }
 
-/* solvers.mass_update_lax_wendroff: the n + 1 face fluxes into flux, then
- * h_next[i] = h[c] - (flux[i+1] - flux[i]) dt_dx, in numpy's order.  h, u
- * and u_next hold n + 2 ng cells; lam is dt / (2 dx).
+/* The Lax-Wendroff flux through the face between cells i - 1 and i: the
+ * half-step depth times the four-point half-step velocity, in numpy's
+ * order.  A face shared by two cells gets the same bits in both.
+ */
+static inline double face_flux(const double *restrict h,
+                               const double *restrict u,
+                               const double *restrict u_next, ptrdiff_t i,
+                               double lam)
+{
+    double h_r = h[i], h_l = h[i - 1], u_r = u[i], u_l = u[i - 1];
+    double hf = (h_r + h_l) * 0.5 - (u_r * h_r - h_l * u_l) * lam;
+    return (u_next[i] + u_r + u_next[i - 1] + u_l) * 0.25 * hf;
+}
+
+/* solvers.mass_update_lax_wendroff: with c the interior cells of h, u and
+ * u_next (n + 2 ng each), h_next[i] = h[c] - (F(c+1/2) - F(c-1/2)) dt / dx
+ * in numpy's order, F the face flux above, dt / dx divided as numpy does.
  */
 void mass_lax_wendroff(const double *restrict h, const double *restrict u,
-                       const double *restrict u_next, double *restrict flux,
-                       double *restrict h_next, ptrdiff_t n, ptrdiff_t ng,
-                       double lam, double dt_dx)
+                       const double *restrict u_next, double *restrict h_next,
+                       ptrdiff_t n, ptrdiff_t ng, double dx, double dt)
 {
+    const double lam = dt / (2.0 * dx), dt_dx = dt / dx;
     FLUSH_ON();
-    /* face i + 1/2 between cells ng - 1 + i (left) and ng + i (right) */
     h += ng;
     u += ng;
     u_next += ng;
-    for (ptrdiff_t i = 0; i <= n; i++) {
-        double h_r = h[i], h_l = h[i - 1], u_r = u[i], u_l = u[i - 1];
-        double hf = (h_r + h_l) * 0.5 - (u_r * h_r - h_l * u_l) * lam;
-        flux[i] = (u_next[i] + u_r + u_next[i - 1] + u_l) * 0.25 * hf;
-    }
     for (ptrdiff_t i = 0; i < n; i++)
-        h_next[i] = h[i] - (flux[i + 1] - flux[i]) * dt_dx;
+        h_next[i] = h[i] - (face_flux(h, u, u_next, i + 1, lam)
+                            - face_flux(h, u, u_next, i, lam)) * dt_dx;
     FLUSH_OFF();
 }

@@ -75,6 +75,15 @@ def _refuse_used_dir(path: str, record: str) -> None:
         raise ConfigError(f"{path} already holds {record}; pass a new --out")
 
 
+def _bore(config: SimConfig):
+    """The shallow-water solution of config's dam break, or None when
+    there is no bore (h1 > h0 does not hold)."""
+    if config.h1 > config.h0:
+        return reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
+                                             x0=config.x0)
+    return None
+
+
 def execute_run(config: SimConfig, run_dir: str):
     """Run one simulation and write its full file set into run_dir.
 
@@ -93,10 +102,7 @@ def execute_run(config: SimConfig, run_dir: str):
         totals_0 = analytic_totals(config)
     except ConfigError:  # x0 is not the domain midpoint
         totals_0 = None
-    sol = None
-    if config.h1 > config.h0:
-        sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
-                                            x0=config.x0)
+    sol = _bore(config)
     records, last = [], None
 
     def write_and_diagnose(snap):
@@ -209,9 +215,8 @@ def cmd_compare(args) -> int:
     out_path = os.path.join(run_dir, "compare.csv")
 
     header, row = ["result"], ["no bore"]
-    if config.h1 > config.h0:
-        sol = reference.solve_swwe_dambreak(config.h0, config.h1, config.g,
-                                            x0=config.x0)
+    sol = _bore(config)
+    if sol is not None:
         crest = diagnostics.leading_wave(snap, sol)
         if crest is not None:
             whitham = reference.whitham_leading_wave(

@@ -9,15 +9,16 @@ is the point.
 
 When the host can build it, a C kernel (_step.c) does a step's array
 work: the momentum assembly, the tridiagonal solve (a transcription of
-LAPACK dgtsv) and both mass updates, writing into a Workspace owned by
-the State, so that a compiled step allocates nothing.  The numpy layers
-are its references, plain expressions written in _step.c's order of
-operations: the self-check and the tests hold the kernel to their bits,
-and they are the fallback on a host without the kernel, with SciPy's
-dgtsv for the solve.  Both paths give the same bits until a subnormal
-appears; the x86-64 kernel flushes it, the numpy fallback does not.  The
-numpy layers allocate temporaries; only that path loads SciPy.  The same
-library holds io's CSV formatter (_format.cc).
+LAPACK dgtsv) and the two mass updates, which share one signature,
+writing into a Workspace owned by the State, so that a compiled step
+allocates nothing.  The numpy layers are its references, plain
+expressions written in _step.c's order of operations: the self-check and
+the tests hold the kernel to their bits, and they are the fallback on a
+host without the kernel, with SciPy's dgtsv for the solve.  Both paths
+give the same bits until a subnormal appears; the x86-64 kernel flushes
+it, the numpy fallback does not.  The numpy layers allocate temporaries;
+only that path loads SciPy.  The same library holds io's CSV formatter
+(_format.cc).
 """
 from __future__ import annotations
 
@@ -56,19 +57,17 @@ class Workspace:
     """Preallocated work arrays of one grid: the rows that a step writes.
 
     Interior-length rows hold the tridiagonal system (sub, diag, sup) and
-    the new depths (h_next); face_flux holds the Lax-Wendroff face fluxes
-    of the compiled step; u_full is the new velocity with zero ghosts,
-    which scheme E reads, and rhs is its interior, so the solve writes the
-    new velocities straight into it.  The rows share one block, so that
-    releasing the workspace returns it to the system whole instead of
-    leaving holes in the heap.
+    the new depths (h_next); u_full is the new velocity with ghosts, which
+    scheme E reads, and rhs is its interior, so the solve writes the new
+    velocities straight into it.  Nothing writes u_full's ghosts, so they
+    stay zero.  The rows share one block, so that releasing the workspace
+    returns it to the system whole instead of leaving holes in the heap.
     """
 
     def __init__(self, n_cells: int, ghost_layers: int):
-        rows = np.zeros((6, n_cells + 2 * ghost_layers))
+        rows = np.zeros((5, n_cells + 2 * ghost_layers))
         self.sub, self.diag, self.sup, self.h_next = rows[:4, :n_cells]
-        self.face_flux = rows[4, :n_cells + 1]
-        self.u_full = rows[5]
+        self.u_full = rows[4]
         self.rhs = self.u_full[ghost_layers:ghost_layers + n_cells]
 
 
@@ -230,21 +229,12 @@ def _gtsv_with_kernel(kernel, sub, diag, sup, rhs):
     return rhs, kernel.gtsv(n, dl + sub.itemsize, d, du, b)
 
 
-def _leapfrog_with_kernel(kernel, h, u, h_prev, dx, dt, ng, work):
-    """_leapfrog_numpy(...) by the C kernel."""
+def _mass_with_kernel(function, h, u, third, dx, dt, ng, work):
+    """_leapfrog_numpy(...) or _lax_wendroff_numpy(...) by its C function,
+    kernel.mass_leapfrog or kernel.mass_lax_wendroff."""
     n = len(work.h_next)
-    kernel.mass_leapfrog(*_pointers(n + 2 * ng, h, u, h_prev),
-                         work.h_next.ctypes.data, n, ng, dx, dt)
-    return work.h_next
-
-
-def _lax_wendroff_with_kernel(kernel, h, u, un1, dx, dt, ng, work):
-    """_lax_wendroff_numpy(...) by the C kernel."""
-    n = len(work.h_next)
-    kernel.mass_lax_wendroff(*_pointers(n + 2 * ng, h, u, un1),
-                             work.face_flux.ctypes.data,
-                             work.h_next.ctypes.data, n, ng,
-                             dt / (2.0 * dx), dt / dx)
+    function(*_pointers(n + 2 * ng, h, u, third), work.h_next.ctypes.data,
+             n, ng, dx, dt)
     return work.h_next
 
 
@@ -305,12 +295,12 @@ def _kernel_agrees(kernel) -> bool:
         y, got_info = _gtsv_with_kernel(kernel, *system.copy())
         if got_info != info or not _same_bits(x, y):
             return False
-    for numpy_update, kernel_update, third in (
-            (_leapfrog_numpy, _leapfrog_with_kernel, h_prev),
-            (_lax_wendroff_numpy, _lax_wendroff_with_kernel, u_prev)):
-        if not _same_bits(numpy_update(h, u, third, 0.3, 0.7, ng, expected),
-                          kernel_update(kernel, h, u, third, 0.3, 0.7, ng,
-                                        got)):
+    for reference, function, third in (
+            (_leapfrog_numpy, kernel.mass_leapfrog, h_prev),
+            (_lax_wendroff_numpy, kernel.mass_lax_wendroff, u_prev)):
+        args = (h, u, third, 0.3, 0.7, ng)
+        if not _same_bits(reference(*args, expected),
+                          _mass_with_kernel(function, *args, got)):
             return False
     return _format_agrees(kernel, rng)
 
@@ -399,13 +389,12 @@ def _load_kernel():
 def _bind(path):
     kernel = ctypes.CDLL(path)
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    mass = [ptr] * 4 + [size] * 2 + [real] * 2
     for name, argtypes, restype in (
             ("assemble_momentum", [ptr] * 7 + [size] * 2 + [real] * 6,
              ctypes.c_int),
             ("gtsv", [size] + [ptr] * 4, size),
-            ("mass_leapfrog", [ptr] * 4 + [size] * 2 + [real] * 2, None),
-            ("mass_lax_wendroff", [ptr] * 5 + [size] * 2 + [real] * 2,
-             None),
+            ("mass_leapfrog", mass, None), ("mass_lax_wendroff", mass, None),
             ("format_rows", [ptr] + [size] * 2 + [ptr, size], size)):
         function = getattr(kernel, name)
         function.argtypes = argtypes
@@ -441,27 +430,29 @@ def mass_update_leapfrog(state: State, config: SimConfig):
     """Centred mass update advancing from the previous level:
     h_prev - dt (u (hp - hm) / dx + h (up - um) / dx), into work.h_next.
     """
-    args = (state.h, state.u, state.h_prev, state.grid.dx, config.dt,
-            state.grid.ghost_layers, _workspace(state))
-    kernel = _step_kernel()
-    if kernel is not None:
-        return _leapfrog_with_kernel(kernel, *args)
-    return _leapfrog_numpy(*args)
+    return _mass_update(state, config, state.h_prev, _leapfrog_numpy,
+                        "mass_leapfrog")
 
 
-def mass_update_lax_wendroff(state: State, u_next_full, config: SimConfig):
+def mass_update_lax_wendroff(state: State, config: SimConfig):
     """Two-step Lax-Wendroff mass update, into work.h_next.
 
     Half-step depths come from the current level; half-step velocities are
-    the four-point space-time average using the already-computed new
-    velocities (u_next_full, ghosts included).
+    the four-point space-time average with the new velocities of the last
+    momentum solve, read from the workspace's u_full (zero ghosts).
     """
-    args = (state.h, state.u, u_next_full, state.grid.dx, config.dt,
+    return _mass_update(state, config, _workspace(state).u_full,
+                        _lax_wendroff_numpy, "mass_lax_wendroff")
+
+
+def _mass_update(state, config, third, reference, name):
+    """A mass update of (h, u, third) by kernel.<name> or by reference."""
+    args = (state.h, state.u, third, state.grid.dx, config.dt,
             state.grid.ghost_layers, _workspace(state))
     kernel = _step_kernel()
     if kernel is not None:
-        return _lax_wendroff_with_kernel(kernel, *args)
-    return _lax_wendroff_numpy(*args)
+        return _mass_with_kernel(getattr(kernel, name), *args)
+    return reference(*args)
 
 
 def apply_euler_bootstrap(state: State, config: SimConfig) -> None:
@@ -482,16 +473,16 @@ def step(state: State, config: SimConfig):
 
     Returns the step's log row (step, t, min_h, max_abs_u, diag_dominant).
 
-    Writes interiors only: the ghost cells keep the Dirichlet data of the
-    initial condition.  On SolverError the state is left as it was.
+    Both mass updates are called as (state, config) by their module-level
+    names.  Writes interiors only: the ghost cells keep the Dirichlet data
+    of the initial condition.  On SolverError the state is left as it was.
     """
     c = state.grid.interior
     u_next, dominant = momentum_update(state, config)
     if config.scheme == "D":
         h_next = mass_update_leapfrog(state, config)
     else:
-        # u_next is the interior of state.work.u_full, whose ghosts stay zero
-        h_next = mass_update_lax_wendroff(state, state.work.u_full, config)
+        h_next = mass_update_lax_wendroff(state, config)
 
     min_h = float(h_next.min())
     if not (math.isfinite(min_h) and math.isfinite(h_next.max())):

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial
 
 import serrelab as sl
 from serrelab import diagnostics
@@ -55,6 +58,54 @@ class TestTotalQuantity:
                            lambda x: np.zeros_like(x))
         with pytest.raises(ValueError):
             sl.totals(snap)
+
+
+def integral_01(coefficients):
+    """The integral over [0, 1] of the polynomial with these (float)
+    coefficients, lowest power first, summed exactly."""
+    return float(sum(Fraction(float(c)) / (k + 1)
+                     for k, c in enumerate(coefficients)))
+
+
+class TestQuadratureExactness:
+    """totals is exact on what its quartic interpolants and 3-point Gauss
+    rule reproduce, on any grid, TOTALS_CHUNK crossed or not.  Left is
+    the round-off of n sampled values summed cell by cell: a relative
+    error of at most 4 n eps (1.4 n eps at worst in 4 000 probe draws).
+    Coefficients are non-negative and the constant terms at least 0.1,
+    so each integrand is positive on [0, 1] and its relative error is
+    well conditioned."""
+
+    @staticmethod
+    def poly(rng, degree):
+        return np.concatenate(([rng.uniform(0.1, 1.0)],
+                               rng.uniform(0.0, 1.0, degree)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(5, 9000), seed=st.integers(0, 2 ** 32 - 1),
+           deg_h=st.integers(0, 4), data=st.data())
+    def test_polynomial_totals(self, n, seed, deg_h, data):
+        # u h is reproduced when each factor is (degree <= 4) and the
+        # product is integrated exactly (degree <= 5)
+        deg_u = data.draw(st.integers(0, min(4, 5 - deg_h)))
+        rng = np.random.default_rng(seed)
+        x = (np.arange(n) + 0.5) / n
+        quartic, h, u, quadratic = (self.poly(rng, d)
+                                    for d in (4, deg_h, deg_u, 2))
+        g = 9.81
+        cases = (
+            (polynomial.polyval(x, quartic), np.zeros(n), 0,
+             integral_01(quartic)),
+            (polynomial.polyval(x, h), polynomial.polyval(x, u), 1,
+             integral_01(polynomial.polymul(h, u))),
+            (polynomial.polyval(x, quadratic), np.zeros(n), 2,
+             0.5 * g * integral_01(polynomial.polymul(quadratic,
+                                                      quadratic))))
+        tol = 4 * n * np.finfo(np.float64).eps
+        for h_cells, u_cells, which, exact in cases:
+            snap = sl.Snapshot(t=0.0, x=x, h=h_cells, u=u_cells)
+            got = sl.totals(snap, g)[which]
+            assert abs(got - exact) <= tol * exact, which
 
 
 def three_pass_totals(snapshot, g):

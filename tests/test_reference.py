@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import newton
 
 import serrelab as sl
-from serrelab.reference import _amplitude_residual, _midstate_residual
+from serrelab.reference import (BISECTION_TOL, _amplitude_residual,
+                                _midstate_residual)
 
 
 class TestSwweConstants:
@@ -42,6 +44,25 @@ class TestSwweConstants:
         assert sol.x_u2(30.0) == pytest.approx(500.0 + 30.0 * sol.u2, rel=1e-15)
         assert sol.x_shock(30.0) == pytest.approx(500.0 + 30.0 * sol.S2,
                                                   rel=1e-15)
+
+
+class TestClosedFormsAcrossStates:
+    @settings(max_examples=1000, deadline=None)
+    @given(h0=st.floats(0.1, 5.0), ratio=st.floats(1.01, 10.0))
+    def test_roots_bracketed_and_ordered(self, h0, ratio):
+        # the midstate residual itself is not bounded: at h1 / h0 = 1.01
+        # it reaches 5.5e-12; nor is S+ > S2 asserted, which fails on
+        # most of this range
+        h1 = h0 * ratio
+        sol = sl.solve_swwe_dambreak(h0, h1, 9.81)
+        lo, hi = sol.h2 - 2 * BISECTION_TOL, sol.h2 + 2 * BISECTION_TOL
+        assert (_midstate_residual(lo, h0, h1)
+                * _midstate_residual(hi, h0, h1)) < 0.0
+        assert h0 < sol.h2 < h1
+        assert sol.u2 > 0.0 and sol.S2 > 0.0
+        pred = sl.whitham_leading_wave(h0, h1, 9.81)
+        assert abs(_amplitude_residual(pred.a_plus_dimless,
+                                       pred.delta)) <= 1e-13
 
 
 class TestSwweProfile:

@@ -60,6 +60,36 @@ class TestMomentumUpdate:
         scale = np.abs(rhs).max()
         assert np.abs(resid - rhs).max() <= 1e-12 * max(scale, 1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(5, 300), dx=st.floats(0.01, 10.0),
+           dt_factor=st.floats(0.001, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+    def test_residual_across_parameters(self, kernel, n, dx, dt_factor,
+                                        seed):
+        # backward-stable elimination: max|Ax - b| <= 8 eps (max(|A||x|) +
+        # max|b|) on both paths, on random states whose systems are mostly
+        # not diagonally dominant, so that the solve pivots; the point
+        # test's bound above, relative to max|b| alone, is not a property
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.1, 5.0, n + 4)
+        u, u_prev = rng.uniform(-2.0, 2.0, (2, n + 4))
+        eps = np.finfo(np.float64).eps
+        for chosen in (None, kernel):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "_step_kernel", lambda: chosen)
+                work = solvers.Workspace(n, 2)
+                solvers.assemble_momentum_system(
+                    h, u, u_prev, dx, dt_factor * dx, 9.81, 2, work)
+                sub, diag, sup, rhs = system = np.array(
+                    [work.sub, work.diag, work.sup, work.rhs])
+                x = solve_tridiagonal(*system.copy())
+            resid, size = diag * x - rhs, np.abs(diag * x)
+            resid[1:] += sub[1:] * x[:-1]
+            resid[:-1] += sup[:-1] * x[1:]
+            size[1:] += np.abs(sub[1:] * x[:-1])
+            size[:-1] += np.abs(sup[:-1] * x[1:])
+            bound = 8 * eps * (size.max() + np.abs(rhs).max())
+            assert np.abs(resid).max() <= bound, chosen
+
     def test_dense_matrix_oracle(self):
         # flat depth, small smooth velocity, one solve on a tiny grid
         cfg = small_config(h0=1.0, h1=1.0, dx=100.0 / 48)
@@ -128,20 +158,20 @@ class TestMassUpdateLeapfrog:
 
 class TestMassUpdateLaxWendroff:
     def test_zero_flux(self):
+        # a fresh workspace's new velocities are zero, ghosts included
         cfg = small_config(scheme="E")
         state = sl.smoothed_dambreak_ic(cfg)
-        u_next = np.zeros(state.grid.n_total)
-        h_next = mass_update_lax_wendroff(state, u_next, cfg)
+        h_next = mass_update_lax_wendroff(state, cfg)
         assert np.array_equal(h_next, state.interior(state.h))
 
     def test_telescoping_identity(self):
         cfg = small_config(scheme="E")
         state = smooth_state(cfg, amp=0.05)
         ng = state.grid.ghost_layers
-        u_next, _ = momentum_update(state, cfg)
-        u_full = np.zeros(state.grid.n_total)
-        u_full[state.grid.interior] = u_next
-        h_next = mass_update_lax_wendroff(state, u_full, cfg)
+        # the solve leaves its velocities in the workspace's u_full
+        momentum_update(state, cfg)
+        u_full = state.work.u_full
+        h_next = mass_update_lax_wendroff(state, cfg)
 
         # recompute the two boundary face fluxes of the conservative form
         h, u, dx, dt = state.h, state.u, cfg.dx, cfg.dt
@@ -167,7 +197,8 @@ class TestMassUpdateLaxWendroff:
         state.u[:] = 0.02 * np.sin(2.0 * np.pi * xs / 100.0)
         state.u_prev[:] = state.u
         u_next = 0.02 * np.cos(2.0 * np.pi * xs / 100.0)
-        h_next = mass_update_lax_wendroff(state, u_next, cfg)
+        solvers._workspace(state).u_full[:] = u_next
+        h_next = mass_update_lax_wendroff(state, cfg)
 
         ng = state.grid.ghost_layers
         H = [mpmath.mpf(v) for v in state.h]
@@ -203,7 +234,8 @@ class TestMassTelescoping:
         for level in (state.h, state.h_prev):
             level[:] = rng.uniform(0.1, 5.0, state.grid.n_total)
         state.u[:] = rng.uniform(-5.0, 5.0, state.grid.n_total)
-        u_full = rng.uniform(-5.0, 5.0, state.grid.n_total)
+        u_full = solvers._workspace(state).u_full
+        u_full[:] = rng.uniform(-5.0, 5.0, state.grid.n_total)
         h, u, dt = state.h, state.u, cfg.dt
 
         # D: face i + 1/2 carries u_i h_{i+1} + h_i u_{i+1}
@@ -220,7 +252,7 @@ class TestMassTelescoping:
         uf = 0.25 * (u_full[ng:-ng + 1] + u[ng:-ng + 1]
                      + u_full[ng - 1:-ng] + u[ng - 1:-ng])
         flux = uf * hf
-        h_next = mass_update_lax_wendroff(state, u_full, cfg)
+        h_next = mass_update_lax_wendroff(state, cfg)
         change = dx * (h_next - state.interior(state.h)).sum()
         residual = change + dt * (flux[-1] - flux[0])
         assert abs(residual) <= 1e-12 * dx * np.abs(h_next).sum()
@@ -433,6 +465,24 @@ class TestRunTo:
 
 
 class TestGhostCells:
+    @pytest.mark.parametrize("path", ["numpy", "kernel"])
+    def test_new_velocity_ghosts_stay_positive_zero(self, kernel,
+                                                    monkeypatch, path):
+        # mass_update_lax_wendroff reads the ghosts of the workspace's
+        # u_full as the walls' zero velocities: +0.0, bit for bit
+        chosen = None if path == "numpy" else kernel
+        monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+        cfg = small_config(scheme="E")
+        state = sl.smoothed_dambreak_ic(cfg)
+        for _ in range(50):
+            sl.step(state, cfg)
+        ng = state.grid.ghost_layers
+        u_full = state.work.u_full
+        ghosts = np.concatenate((u_full[:ng], u_full[-ng:]))
+        assert len(ghosts) == 4
+        assert ghosts.tobytes() == bytes(8 * 4)
+        assert np.abs(u_full[ng:-ng]).max() > 0.0
+
     @pytest.mark.parametrize("scheme", ["D", "E"])
     @pytest.mark.parametrize("t_end", [2.0])
     def test_ghosts_hold_dirichlet_data(self, scheme, t_end):
@@ -687,13 +737,13 @@ class TestMassUpdateKernel:
         u, u_next = data.draw(signed_cells(n + 4, 10.0)), data.draw(
             signed_cells(n + 4, 10.0))
         expected, got = solvers.Workspace(n, 2), solvers.Workspace(n, 2)
-        for numpy_update, kernel_update, third in (
-                (solvers._leapfrog_numpy, solvers._leapfrog_with_kernel,
-                 h_prev),
-                (solvers._lax_wendroff_numpy,
-                 solvers._lax_wendroff_with_kernel, u_next)):
+        for numpy_update, function, third in (
+                (solvers._leapfrog_numpy, kernel.mass_leapfrog, h_prev),
+                (solvers._lax_wendroff_numpy, kernel.mass_lax_wendroff,
+                 u_next)):
             want = numpy_update(h, u, third, dx, dt, 2, expected)
-            have = kernel_update(kernel, h, u, third, dx, dt, 2, got)
+            have = solvers._mass_with_kernel(function, h, u, third, dx, dt,
+                                             2, got)
             assert np.array_equal(have.view(np.int64),
                                   want.view(np.int64)), numpy_update
 
@@ -732,11 +782,10 @@ def kernel_outputs(kernel, cells, system):
     out = {row: getattr(work, row).copy() for row in ROWS}
     x, info = solvers._gtsv_with_kernel(kernel, *system.copy())
     out["x"] = x
-    out["leapfrog"] = solvers._leapfrog_with_kernel(
-        kernel, h, u, w, 0.3, 0.7, 2, work).copy()
-    out["lax_wendroff"] = solvers._lax_wendroff_with_kernel(
-        kernel, h, u, w, 0.3, 0.7, 2, work).copy()
-    out["face_flux"] = work.face_flux.copy()
+    for name, function in (("leapfrog", kernel.mass_leapfrog),
+                           ("lax_wendroff", kernel.mass_lax_wendroff)):
+        out[name] = solvers._mass_with_kernel(function, h, u, w, 0.3, 0.7,
+                                              2, work).copy()
     return out, (dominant, info)
 
 
@@ -806,10 +855,10 @@ class TestFlush:
             "solve": lambda: solvers._gtsv_with_kernel(kernel, *system),
             "singular solve": lambda: solvers._gtsv_with_kernel(
                 kernel, *singular),
-            "leapfrog": lambda: solvers._leapfrog_with_kernel(
-                kernel, h, u, w, 0.3, 0.7, 2, work),
-            "lax_wendroff": lambda: solvers._lax_wendroff_with_kernel(
-                kernel, h, u, w, 0.3, 0.7, 2, work),
+            "leapfrog": lambda: solvers._mass_with_kernel(
+                kernel.mass_leapfrog, h, u, w, 0.3, 0.7, 2, work),
+            "lax_wendroff": lambda: solvers._mass_with_kernel(
+                kernel.mass_lax_wendroff, h, u, w, 0.3, 0.7, 2, work),
         }
         assert keeps_gradual_underflow()
         results = {}

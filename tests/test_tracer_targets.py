@@ -71,7 +71,8 @@ def test_workload_inputs_accepted(tmp_path, monkeypatch):
     assert parsed == 3
 
 
-def test_assembly_span_fires_on_the_compiled_path(tmp_path):
+@pytest.mark.parametrize("scheme", ["D", "E"])
+def test_assembly_span_fires_on_the_compiled_path(tmp_path, scheme):
     if shutil.which("c++") is None:
         pytest.skip("no c++ on PATH")
     tracer = load_script("tracer")
@@ -79,7 +80,7 @@ def test_assembly_span_fires_on_the_compiled_path(tmp_path):
     # dt = 0.025: 40 steps after the bootstrap solve
     config.write_text("h0 = 1.0\nh1 = 1.8\nx0 = 50.0\nalpha = 2.0\n"
                       "domain_a = 0.0\ndomain_b = 100.0\ndx = 2.5\n"
-                      "t_end = 1.0\nscheme = D\n")
+                      f"t_end = 1.0\nscheme = {scheme}\n")
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
