@@ -1,6 +1,7 @@
 /* The array work of one time step in solvers.py: the momentum assembly
- * with its diagonal-dominance check, the tridiagonal solve, and the
- * leapfrog (D) and Lax-Wendroff (E) mass updates.
+ * with its diagonal-dominance check, the tridiagonal solve (cyclic
+ * reduction of a dominant system, dgtsv of any other), and the leapfrog
+ * (D) and Lax-Wendroff (E) mass updates.
  *
  * Each function repeats its numpy (or LAPACK) counterpart term by term,
  * in its order of operations, with the same constants, divided as numpy
@@ -177,6 +178,56 @@ ptrdiff_t gtsv(ptrdiff_t n, double *restrict dl, double *restrict d,
         b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
     FLUSH_OFF();
     return 0;
+}
+
+/* Odd-even cyclic reduction of a strictly diagonally dominant system,
+ * a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], which it solves without
+ * pivoting (Heller 1976).  gtsv's argument shape, but a is the whole
+ * sub-diagonal row: a[0] and c[n-1] lie outside the matrix and never
+ * reach the solution.  All four arrays are overwritten, d by the
+ * solution; no workspace is allocated.
+ *
+ * At stride s = 1, 2, 4, ... each row i = 2s-1, 4s-1, ... eliminates its
+ * neighbours i - s and i + s, so that it couples x[i - 2s] and x[i + 2s];
+ * the last such row may have no right neighbour.  The row s - 1 left
+ * when 2s - 1 >= n couples nothing and is solved first; then each stride
+ * solves rows s-1, 3s-1, ... from the solved rows beside them.
+ * solvers._reduce_cyclic_numpy runs the same levels in this order of
+ * operations.
+ */
+void reduce_cyclic(ptrdiff_t n, double *restrict a, double *restrict b,
+                   double *restrict c, double *restrict d)
+{
+    ptrdiff_t s, i;
+    if (n == 0)
+        return;
+    FLUSH_ON();
+    for (s = 1; 2 * s - 1 < n; s *= 2) {
+        for (i = 2 * s - 1; i + s < n; i += 2 * s) {
+            double f = a[i] / b[i - s], g = c[i] / b[i + s];
+            b[i] = b[i] - f * c[i - s] - g * a[i + s];
+            d[i] = d[i] - f * d[i - s] - g * d[i + s];
+            a[i] = -(f * a[i - s]);
+            c[i] = -(g * c[i + s]);
+        }
+        if (i < n) {
+            /* the last row has no right neighbour */
+            double f = a[i] / b[i - s];
+            b[i] = b[i] - f * c[i - s];
+            d[i] = d[i] - f * d[i - s];
+            a[i] = -(f * a[i - s]);
+        }
+    }
+    d[s - 1] = d[s - 1] / b[s - 1];
+    for (s /= 2; s >= 1; s /= 2) {
+        /* the first row has no left neighbour, and a right one */
+        d[s - 1] = (d[s - 1] - c[s - 1] * d[2 * s - 1]) / b[s - 1];
+        for (i = 3 * s - 1; i + s < n; i += 2 * s)
+            d[i] = (d[i] - a[i] * d[i - s] - c[i] * d[i + s]) / b[i];
+        if (i < n)
+            d[i] = (d[i] - a[i] * d[i - s]) / b[i];
+    }
+    FLUSH_OFF();
 }
 
 /* solvers.mass_update_leapfrog: with c the interior cells of h, u and

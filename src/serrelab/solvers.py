@@ -8,17 +8,19 @@ viscosity anywhere: the schemes' intrinsic dispersive/diffusive character
 is the point.
 
 When the host can build it, a C kernel (_step.c) does a step's array
-work: the momentum assembly, the tridiagonal solve (a transcription of
-LAPACK dgtsv) and the two mass updates, which share one signature,
-writing into a Workspace owned by the State, so that a compiled step
-allocates nothing.  The numpy layers are its references, plain
-expressions written in _step.c's order of operations: the self-check and
-the tests hold the kernel to their bits, and they are the fallback on a
-host without the kernel, with SciPy's dgtsv for the solve.  Both paths
-give the same bits until a subnormal appears; the x86-64 kernel flushes
-it, the numpy fallback does not.  The numpy layers allocate temporaries;
-only that path loads SciPy.  The same library holds io's CSV formatter
-(_format.cc).
+work: the momentum assembly, the tridiagonal solve and the two mass
+updates, which share one signature, writing into a Workspace owned by
+the State, so that a compiled step allocates nothing.  The solve is
+odd-even cyclic reduction when the assembly reports every row strictly
+diagonally dominant, and a transcription of LAPACK dgtsv, which pivots,
+otherwise.  The numpy layers are its references, plain expressions
+written in _step.c's order of operations: the self-check and the tests
+hold the kernel to their bits, and they are the fallback on a host
+without the kernel, with SciPy's dgtsv for a system that pivots.  Both
+paths give the same bits until a subnormal appears; the x86-64 kernel
+flushes it, the numpy fallback does not.  The numpy layers allocate
+temporaries; only that path loads SciPy, and only for a system that is
+not dominant.  The same library holds io's CSV formatter (_format.cc).
 """
 from __future__ import annotations
 
@@ -135,23 +137,33 @@ def _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work):
     return bool((np.abs(diag) > np.abs(sub) + np.abs(sup)).all())
 
 
-def solve_tridiagonal(sub, diag, sup, rhs):
+def solve_tridiagonal(sub, diag, sup, rhs, dominant=False):
     """Solve sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i] in
     place: the four arrays, contiguous float64 rows of one length, are
     destroyed and the solution is written into rhs, which is returned.
+    sub[0] and sup[-1] lie outside the matrix and are ignored.
 
-    LAPACK dgtsv: Gaussian elimination with partial pivoting, run by its
-    C transcription in _step.c, or by SciPy's LAPACK when the kernel is
-    unavailable.  Both give the same bits until a subnormal appears; the
-    x86-64 kernel flushes it, the numpy fallback does not, so that a
-    subnormal pivot is a zero pivot there.  sub[0] and sup[-1] lie outside
-    the matrix and are ignored.  A system of fewer than 2 rows raises
-    ValueError; an exactly singular matrix (a zero pivot) raises
-    SolverError.
+    dominant says that every row is strictly diagonally dominant,
+    |diag| > |sub| + |sup|, as assemble_momentum_system reports it.  Such
+    a system is solved by odd-even cyclic reduction, which needs no
+    pivoting there (Heller 1976): _step.c's reduce_cyclic, or
+    _reduce_cyclic_numpy when the kernel is unavailable.  Any other system
+    goes through LAPACK dgtsv, Gaussian elimination with partial pivoting:
+    its C transcription in _step.c, or SciPy's LAPACK.  Either way both
+    paths give the same bits until a subnormal appears; the x86-64 kernel
+    flushes it, the numpy fallback does not, so that a subnormal pivot is
+    a zero pivot there.  A system of fewer than 2 rows raises ValueError;
+    an exactly singular matrix (a zero pivot of dgtsv) raises SolverError.
+    The reduction has no such check: a system passed as dominant that is
+    not may give infinities or NaN.
     """
     if len(diag) < 2:
         raise ValueError("a tridiagonal system needs at least 2 rows")
     kernel = _step_kernel()
+    if dominant:
+        if kernel is None:
+            return _reduce_cyclic_numpy(sub, diag, sup, rhs)
+        return _reduce_cyclic_with_kernel(kernel, sub, diag, sup, rhs)
     if kernel is None:
         x, info = _gtsv_lapack(sub, diag, sup, rhs)
     else:
@@ -159,6 +171,38 @@ def solve_tridiagonal(sub, diag, sup, rhs):
     if info != 0:
         raise SolverError(f"singular tridiagonal system (dgtsv info = {info})")
     return x
+
+
+def _reduce_cyclic_numpy(sub, diag, sup, rhs):
+    """solve_tridiagonal(..., dominant=True) by numpy: _step.c's
+    reduce_cyclic, each level on strided views in its order of
+    operations."""
+    a, b, c, d = sub, diag, sup, rhs
+    s = 1
+    while 2 * s - 1 < len(d):
+        # rows 2s-1, 4s-1, ... and their neighbours s-1, 3s-1, ...: row t
+        # of the first lies between rows t and t + 1 of the second
+        ai, bi, ci, di = (v[2 * s - 1::2 * s] for v in (a, b, c, d))
+        an, bn, cn, dn = (v[s - 1::2 * s] for v in (a, b, c, d))
+        m, k = len(di), len(dn) - 1  # k rows have a right neighbour
+        f, g = ai / bn[:m], ci[:k] / bn[1:]
+        bi -= f * cn[:m]
+        bi[:k] -= g * an[1:]
+        di -= f * dn[:m]
+        di[:k] -= g * dn[1:]
+        ai[:] = -(f * an[:m])
+        ci[:k] = -(g * cn[1:])
+        s *= 2
+    d[s - 1] /= b[s - 1]
+    while s > 1:
+        s //= 2
+        # rows s-1, 3s-1, ... from the solved rows 2s-1, 4s-1, ...
+        aj, bj, cj, dj = (v[s - 1::2 * s] for v in (a, b, c, d))
+        x = d[2 * s - 1::2 * s]
+        dj[1:] -= aj[1:] * x[:len(dj) - 1]
+        dj[:len(x)] -= cj[:len(x)] * x
+        dj /= bj
+    return d
 
 
 def _gtsv_lapack(sub, diag, sup, rhs):
@@ -229,6 +273,13 @@ def _gtsv_with_kernel(kernel, sub, diag, sup, rhs):
     return rhs, kernel.gtsv(n, dl + sub.itemsize, d, du, b)
 
 
+def _reduce_cyclic_with_kernel(kernel, sub, diag, sup, rhs):
+    """_reduce_cyclic_numpy(...) by the C reduce_cyclic."""
+    kernel.reduce_cyclic(len(diag), *_pointers(len(diag), sub, diag, sup,
+                                               rhs))
+    return rhs
+
+
 def _mass_with_kernel(function, h, u, third, dx, dt, ng, work):
     """_leapfrog_numpy(...) or _lax_wendroff_numpy(...) by its C function,
     kernel.mass_leapfrog or kernel.mass_lax_wendroff."""
@@ -264,15 +315,16 @@ def _same_bits(a, b) -> bool:
 def _kernel_agrees(kernel) -> bool:
     """Whether every entry point of the kernel gives the numpy (or SciPy)
     result bit for bit on fixed data of 67 cells (an odd length reaches
-    the vector tail): the assembly and its flag, the solve of a
-    diagonally dominant system and of one that pivots (against SciPy's
-    dgtsv), and both mass updates.  The values are seeded-random and dt
-    is large, so that every term reaches the last bits: a smooth state
-    with a small dt hides a reordered product.  exp and sinh spread the
-    values over several binades; uniform draws share one binary grid, on
-    which most sums are exact whatever their order.  Last, the formatter
-    must write Python's "%.17g" bytes (see _format_agrees).  No value or
-    intermediate is subnormal, so the x86-64 kernel's flush never acts."""
+    the vector tail): the assembly and its flag, the cyclic reduction of
+    a diagonally dominant system (against _reduce_cyclic_numpy), dgtsv on
+    one that pivots (against SciPy's), and both mass updates.  The values
+    are seeded-random and dt is large, so that every term reaches the last
+    bits: a smooth state with a small dt hides a reordered product.  exp
+    and sinh spread the values over several binades; uniform draws share
+    one binary grid, on which most sums are exact whatever their order.
+    Last, the formatter must write Python's "%.17g" bytes (see
+    _format_agrees).  No value or intermediate is subnormal, so the
+    x86-64 kernel's flush never acts."""
     n, ng = 67, 2
     rng = np.random.default_rng(67)
     h, h_prev = np.exp(rng.uniform(-1.0, 1.0, (2, n + 2 * ng)))
@@ -285,16 +337,17 @@ def _kernel_agrees(kernel) -> bool:
                 _same_bits(getattr(expected, r), getattr(got, r))
                 for r in rows)):
         return False
-    # |diag| > 2 > |sub| + |sup| never pivots; about half the rows of
-    # the random system do
+    # |diag| > 2 > |sub| + |sup| is strictly dominant; about half the rows
+    # of the random system pivot
     pivoting = np.tanh(rng.uniform(-2.0, 2.0, (4, n)))
     dominant = pivoting.copy()
     dominant[1] += np.copysign(2.0, dominant[1])
-    for system in (dominant, pivoting):
-        x, info = _gtsv_lapack(*system.copy())
-        y, got_info = _gtsv_with_kernel(kernel, *system.copy())
-        if got_info != info or not _same_bits(x, y):
-            return False
+    x, info = _gtsv_lapack(*pivoting.copy())
+    y, got_info = _gtsv_with_kernel(kernel, *pivoting.copy())
+    if got_info != info or not _same_bits(x, y) or not _same_bits(
+            _reduce_cyclic_numpy(*dominant.copy()),
+            _reduce_cyclic_with_kernel(kernel, *dominant.copy())):
+        return False
     for reference, function, third in (
             (_leapfrog_numpy, kernel.mass_leapfrog, h_prev),
             (_lax_wendroff_numpy, kernel.mass_lax_wendroff, u_prev)):
@@ -335,7 +388,7 @@ def _format_agrees(kernel, rng) -> bool:
 
 
 def _load_kernel():
-    """The library built from _step.c and _format.cc, with its five
+    """The library built from _step.c and _format.cc, with its six
     functions bound, or None.
 
     The kernel is built by one call of the host's `c++` with _KERNEL_FLAGS,
@@ -394,6 +447,7 @@ def _bind(path):
             ("assemble_momentum", [ptr] * 7 + [size] * 2 + [real] * 6,
              ctypes.c_int),
             ("gtsv", [size] + [ptr] * 4, size),
+            ("reduce_cyclic", [size] + [ptr] * 4, None),
             ("mass_leapfrog", mass, None), ("mass_lax_wendroff", mass, None),
             ("format_rows", [ptr] + [size] * 2 + [ptr, size], size)):
         function = getattr(kernel, name)
@@ -409,18 +463,20 @@ def _step_kernel():
 
 
 def momentum_update(state: State, config: SimConfig):
-    """New interior velocities by direct tridiagonal elimination.
+    """New interior velocities by a direct tridiagonal solve.
 
     Returns (u_next, diag_dominant); u_next is the interior of the
     workspace's u_full.  Row i is strictly diagonally dominant iff
     h^2 |h_x| / dx < h + 2 h^3 / (3 dx^2); steep fronts on coarse grids
-    break this, so it is checked on every solve, and the solve pivots.
+    break this, so it is checked on every solve.  A dominant system is
+    solved by cyclic reduction, any other by dgtsv, which pivots.
     """
     work = _workspace(state)
     dominant = assemble_momentum_system(
         state.h, state.u, state.u_prev, state.grid.dx, config.dt, config.g,
         state.grid.ghost_layers, work)
-    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs)
+    u_next = solve_tridiagonal(work.sub, work.diag, work.sup, work.rhs,
+                               dominant)
     if not (math.isfinite(u_next.min()) and math.isfinite(u_next.max())):
         raise SolverError("non-finite velocity after momentum solve")
     return u_next, dominant

@@ -23,6 +23,30 @@ from test_golden import CASES, GOLDEN, X86_64, agrees, run_golden_case
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
+def assert_backward_stable(chosen, h, u, u_prev, dx, dt):
+    """Assemble the momentum system of (h, u, u_prev) and solve it on one
+    path (chosen: the kernel, or None for numpy) as momentum_update does,
+    by cyclic reduction when the assembly reports it dominant; assert that
+    max|Ax - b| <= 8 eps (max(|A||x|) + max|b|), and return the flag."""
+    n = len(h) - 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_step_kernel", lambda: chosen)
+        work = solvers.Workspace(n, 2)
+        dominant = solvers.assemble_momentum_system(h, u, u_prev, dx, dt,
+                                                    9.81, 2, work)
+        sub, diag, sup, rhs = system = np.array(
+            [work.sub, work.diag, work.sup, work.rhs])
+        x = solve_tridiagonal(*system.copy(), dominant)
+    resid, size = diag * x - rhs, np.abs(diag * x)
+    resid[1:] += sub[1:] * x[:-1]
+    resid[:-1] += sup[:-1] * x[1:]
+    size[1:] += np.abs(sub[1:] * x[:-1])
+    size[:-1] += np.abs(sup[:-1] * x[1:])
+    bound = 8 * np.finfo(np.float64).eps * (size.max() + np.abs(rhs).max())
+    assert np.abs(resid).max() <= bound, (chosen, dominant)
+    return dominant
+
+
 def small_config(**kw):
     defaults = dict(h0=1.0, h1=1.8, x0=50.0, alpha=2.0, domain_a=0.0,
                     domain_b=100.0, dx=2.5, t_end=1.0, scheme="D")
@@ -72,23 +96,23 @@ class TestMomentumUpdate:
         rng = np.random.default_rng(seed)
         h = rng.uniform(0.1, 5.0, n + 4)
         u, u_prev = rng.uniform(-2.0, 2.0, (2, n + 4))
-        eps = np.finfo(np.float64).eps
         for chosen in (None, kernel):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(solvers, "_step_kernel", lambda: chosen)
-                work = solvers.Workspace(n, 2)
-                solvers.assemble_momentum_system(
-                    h, u, u_prev, dx, dt_factor * dx, 9.81, 2, work)
-                sub, diag, sup, rhs = system = np.array(
-                    [work.sub, work.diag, work.sup, work.rhs])
-                x = solve_tridiagonal(*system.copy())
-            resid, size = diag * x - rhs, np.abs(diag * x)
-            resid[1:] += sub[1:] * x[:-1]
-            resid[:-1] += sup[:-1] * x[1:]
-            size[1:] += np.abs(sub[1:] * x[:-1])
-            size[:-1] += np.abs(sup[:-1] * x[1:])
-            bound = 8 * eps * (size.max() + np.abs(rhs).max())
-            assert np.abs(resid).max() <= bound, chosen
+            assert_backward_stable(chosen, h, u, u_prev, dx, dt_factor * dx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(5, 300), dx=st.floats(0.01, 10.0),
+           dt_factor=st.floats(0.001, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+    def test_residual_of_dominant_systems(self, kernel, n, dx, dt_factor,
+                                          seed):
+        # the same bound on systems solved by cyclic reduction: a depth
+        # within a factor e^0.4 of its neighbours keeps |h[i+1] - h[i-1]|
+        # below 4 h / 3, so that every row is strictly dominant
+        rng = np.random.default_rng(seed)
+        h = np.exp(rng.uniform(-0.2, 0.2, n + 4))
+        u, u_prev = rng.uniform(-2.0, 2.0, (2, n + 4))
+        for chosen in (None, kernel):
+            assert assert_backward_stable(chosen, h, u, u_prev, dx,
+                                          dt_factor * dx)
 
     def test_dense_matrix_oracle(self):
         # flat depth, small smooth velocity, one solve on a tiny grid
@@ -590,7 +614,8 @@ class TestAssemblyKernel:
     @pytest.mark.parametrize("path", ["numpy", "kernel"])
     def test_golden_on_either_path(self, kernel, monkeypatch, path):
         import scipy.linalg.lapack
-        calls = {"assemble": 0, "dgtsv": 0, "leapfrog": 0, "lax_wendroff": 0}
+        calls = {"assemble": 0, "reduce_cyclic": 0, "leapfrog": 0,
+                 "lax_wendroff": 0, "dgtsv": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -602,6 +627,7 @@ class TestAssemblyKernel:
         monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
         for module, attr, name in (
                 (solvers, "_assemble_numpy", "assemble"),
+                (solvers, "_reduce_cyclic_numpy", "reduce_cyclic"),
                 (scipy.linalg.lapack, "dgtsv", "dgtsv"),
                 (solvers, "_leapfrog_numpy", "leapfrog"),
                 (solvers, "_lax_wendroff_numpy", "lax_wendroff")):
@@ -613,15 +639,18 @@ class TestAssemblyKernel:
             for alpha, scheme in CASES:
                 for name, value in run_golden_case(alpha, scheme).items():
                     assert agrees(golden, alpha, scheme, name, value), name
+        # every step of the four cases is diagonally dominant, so neither
+        # path pivots
+        pivots = calls.pop("dgtsv")
         if path == "numpy":
-            assert all(calls.values()), calls
+            assert all(calls.values()) and not pivots, calls
         else:
-            assert not any(calls.values()), calls
+            assert not any(calls.values()) and not pivots, calls
 
     def test_source_is_package_data(self):
         for name, functions in (
                 ("_step.c", ("int assemble_momentum(", "ptrdiff_t gtsv(",
-                             "void mass_leapfrog(",
+                             "void reduce_cyclic(", "void mass_leapfrog(",
                              "void mass_lax_wendroff(")),
                 ("_format.cc", ('extern "C" ptrdiff_t format_rows(',))):
             source = resources.files("serrelab").joinpath(name).read_text()
@@ -671,6 +700,15 @@ class TestSolveKernel:
         assert got_info == info
         assert np.array_equal(y.view(np.int64), x.view(np.int64))
         assert solve_error(kernel, system) == solve_error(None, system)
+        # a system not passed as dominant pivots on both paths, even when
+        # it is dominant: solve_tridiagonal gives dgtsv's bits
+        if info == 0:
+            for chosen in (None, kernel):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(solvers, "_step_kernel", lambda: chosen)
+                    got = solve_tridiagonal(*system.copy(), dominant=False)
+                assert np.array_equal(got.view(np.int64),
+                                      x.view(np.int64)), chosen
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 40))
@@ -727,6 +765,71 @@ class TestSolveKernel:
                 solve_tridiagonal(*np.ones((4, n)))
 
 
+def dominant_system(n, seed):
+    """random_system(n, seed) with |diag| >= 20.01 > |sub| + |sup|: every
+    row strictly dominant, and no value subnormal."""
+    system = random_system(n, seed)
+    system[1] += np.copysign(20.0, system[1])
+    return system
+
+
+class TestCyclicReduction:
+    """reduce_cyclic, the C solve of a strictly dominant system, against
+    _reduce_cyclic_numpy, and solve_tridiagonal's choice between it and
+    dgtsv."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 600), seed=st.integers(0, 2 ** 32))
+    def test_kernel_matches_numpy_bit_for_bit(self, kernel, n, seed):
+        # n up to 600 runs up to ten levels, each with or without a last
+        # row that has no right neighbour
+        system = dominant_system(n, seed)
+        want = solvers._reduce_cyclic_numpy(*system.copy())
+        have = solvers._reduce_cyclic_with_kernel(kernel, *system.copy())
+        assert np.array_equal(have.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("path", ["numpy", "kernel"])
+    def test_dominant_flag_picks_the_reduction(self, kernel, monkeypatch,
+                                               path):
+        chosen = None if path == "numpy" else kernel
+        monkeypatch.setattr(solvers, "_step_kernel", lambda: chosen)
+        calls = []
+        for name in ("_reduce_cyclic_numpy", "_reduce_cyclic_with_kernel",
+                     "_gtsv_lapack", "_gtsv_with_kernel"):
+            function = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *args, name=name,
+                                function=function: (
+                                    calls.append(name), function(*args))[1])
+        system = dominant_system(37, 1)
+        rows = list(system.copy())
+        assert solve_tridiagonal(*rows, dominant=True) is rows[3]
+        assert calls == ["_reduce_cyclic_numpy" if chosen is None
+                         else "_reduce_cyclic_with_kernel"]
+        calls.clear()
+        solve_tridiagonal(*system.copy())
+        assert calls == ["_gtsv_lapack" if chosen is None
+                         else "_gtsv_with_kernel"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=st.sampled_from(["h", "u", "u_prev"]), data=st.data(),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_state_raises(self, kernel, level, data, value):
+        # a NaN or an infinity in any cell that the assembly reads: a NaN
+        # clears the dominance flag, so dgtsv solves; an infinite velocity
+        # leaves it set, so the reduction does.  Either way, on both paths,
+        # the update ends in SolverError
+        cfg = small_config()
+        reach = 2 if level == "u" else 1  # the stencil's reach into ghosts
+        cell = data.draw(st.integers(2 - reach, cfg.n_cells + 1 + reach))
+        for chosen in (None, kernel):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "_step_kernel", lambda: chosen)
+                state = smooth_state(cfg)
+                getattr(state, level)[cell] = value
+                with pytest.raises(sl.SolverError):
+                    momentum_update(state, cfg)
+
+
 class TestMassUpdateKernel:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 300),
@@ -770,10 +873,21 @@ def underflowing(rng, shape):
     return values
 
 
+def made_dominant(system):
+    """A copy of system whose diagonal is 1 + |sub| + |sup| with its own
+    sign: strictly dominant, and the same whether or not the subnormals
+    of sub and sup are flushed."""
+    system = system.copy()
+    system[1] = np.copysign(1.0 + np.abs(system[0]) + np.abs(system[2]),
+                            system[1])
+    return system
+
+
 def kernel_outputs(kernel, cells, system):
-    """What the four kernel entry points write, on cells (3, n + 4) as
+    """What the five kernel entry points write, on cells (3, n + 4) as
     h, u and a third level (u_prev, h_prev, the new velocity) and on a
-    tridiagonal system (4, n): ({name: array}, (dominant, info))."""
+    tridiagonal system (4, n), which the cyclic reduction solves made
+    dominant: ({name: array}, (dominant, info))."""
     h, u, w = cells
     n = len(h) - 4
     work = solvers.Workspace(n, 2)
@@ -782,6 +896,8 @@ def kernel_outputs(kernel, cells, system):
     out = {row: getattr(work, row).copy() for row in ROWS}
     x, info = solvers._gtsv_with_kernel(kernel, *system.copy())
     out["x"] = x
+    out["x_reduced"] = solvers._reduce_cyclic_with_kernel(
+        kernel, *made_dominant(system))
     for name, function in (("leapfrog", kernel.mass_leapfrog),
                            ("lax_wendroff", kernel.mass_lax_wendroff)):
         out[name] = solvers._mass_with_kernel(function, h, u, w, 0.3, 0.7,
@@ -845,7 +961,8 @@ class TestFlush:
         h, u, w = underflowing(rng, (3, 13))
         work = solvers.Workspace(9, 2)
         system = random_system(9, 5)
-        system[3] = underflowing(rng, 9)  # a solution that underflows
+        system[3] = underflowing(rng, 9)  # solutions that underflow
+        reduced = made_dominant(system)
         singular = np.zeros((4, 9))
         singular[1] = 1.0
         singular[1, 4] = 0.0  # a zero pivot: info = 5
@@ -855,6 +972,8 @@ class TestFlush:
             "solve": lambda: solvers._gtsv_with_kernel(kernel, *system),
             "singular solve": lambda: solvers._gtsv_with_kernel(
                 kernel, *singular),
+            "cyclic reduction": lambda: solvers._reduce_cyclic_with_kernel(
+                kernel, *reduced),
             "leapfrog": lambda: solvers._mass_with_kernel(
                 kernel.mass_leapfrog, h, u, w, 0.3, 0.7, 2, work),
             "lax_wendroff": lambda: solvers._mass_with_kernel(
@@ -955,10 +1074,13 @@ class TestKernelBuild:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
         assert solvers._load_kernel() is None
 
-    # one reordered operation in each of the solve and the mass updates
+    # one reordered operation in each of the two solves and the mass
+    # updates
     @pytest.mark.parametrize("original, reordered", [
         ("(b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2])",
          "(b[i] - (du[i] * b[i + 1] + dl[i] * b[i + 2]))"),
+        ("b[i] - f * c[i - s] - g * a[i + s]",
+         "b[i] - (f * c[i - s] + g * a[i + s])"),
         ("(h[i + 1] - h[i - 1]) * u[i] / dx",
          "(h[i + 1] - h[i - 1]) * (u[i] / dx)"),
         ("(u_next[i] + u_r + u_next[i - 1] + u_l)",
@@ -1010,6 +1132,10 @@ class TestKernelBuild:
                     agrees(golden, alpha, scheme, name, value)
                     for alpha, scheme in ((0.4, "D"), (0.4, "E"))
                     for name, value in run_golden_case(alpha, scheme).items())
+            # every golden step is dominant; a system that is not pivots,
+            # by SciPy on the numpy path only
+            solvers.solve_tridiagonal(*np.array(
+                [[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [3.0, 4.0]]))
             print(same, solvers._step_kernel() is not None,
                   "scipy" in sys.modules)
             """)
