@@ -5,11 +5,12 @@
  *
  * Each function repeats its numpy (or LAPACK) counterpart term by term,
  * in its order of operations, with the same constants, divided as numpy
- * divides them, so that the results are bit-identical to it until a
- * subnormal appears; the x86-64 kernel flushes it, the numpy fallback
- * does not.  That holds only when the compiler keeps each multiply and
- * add apart: build with -ffp-contract=off (no fused multiply-add) and
- * never with -ffast-math.
+ * divides them, so that the results are bit-identical to it but for
+ * subnormals.  On x86-64 the numpy layers read a subnormal operand as
+ * this kernel does, as a zero of its sign, and keep the subnormal results
+ * that it flushes; SciPy's dgtsv reads subnormals as they are.  That holds
+ * only when the compiler keeps each multiply and add apart: build with
+ * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
  * On x86-64 each function runs with flush-to-zero and denormals-are-zero
  * set in MXCSR: a subnormal input reads as a zero of its sign, and a

@@ -16,11 +16,16 @@ diagonally dominant, and a transcription of LAPACK dgtsv, which pivots,
 otherwise.  The numpy layers are its references, plain expressions
 written in _step.c's order of operations: the self-check and the tests
 hold the kernel to their bits, and they are the fallback on a host
-without the kernel, with SciPy's dgtsv for a system that pivots.  Both
-paths give the same bits until a subnormal appears; the x86-64 kernel
-flushes it, the numpy fallback does not.  The numpy layers allocate
-temporaries; only that path loads SciPy, and only for a system that is
-not dominant.  The same library holds io's CSV formatter (_format.cc).
+without the kernel, with SciPy's dgtsv for a system that pivots.  On
+x86-64 the kernel runs with denormals-are-zero and flush-to-zero set;
+there the numpy layers read every operand as it does, a subnormal as a
+zero of its sign, and only their results keep gradual underflow.  So both
+paths give the same bits for every value that is not subnormal: where
+the kernel writes a zero, numpy may write a subnormal, which the next
+read takes as that zero.  (SciPy's dgtsv keeps gradual underflow in its
+reads too.)  The numpy layers allocate temporaries; only that path loads
+SciPy, and only for a system that is not dominant.  The same library
+holds io's CSV formatter (_format.cc).
 """
 from __future__ import annotations
 
@@ -80,10 +85,54 @@ def _workspace(state: State) -> Workspace:
     return state.work
 
 
+# _step.c sets denormals-are-zero and flush-to-zero on x86-64 only
+_KERNEL_FLUSHES = platform.machine() in ("x86_64", "AMD64")
+_TINY = np.finfo(np.float64).tiny
+
+
+def _zeroed(operand):
+    """operand as denormals-are-zero reads it: each subnormal float64,
+    multiplied by zero, a zero of its sign; anything else as it is."""
+    if isinstance(operand, np.ndarray):
+        operand = operand.view(np.ndarray)
+        if operand.dtype != np.float64:
+            return operand
+    elif not isinstance(operand, float):
+        return operand
+    return operand * (abs(operand) >= _TINY)
+
+
+class _KernelReads(np.ndarray):
+    """A view whose every ufunc reads its operands through _zeroed, as
+    the x86-64 kernel reads them.  Results keep gradual underflow and
+    come back as such views, so that the next operation reads them in
+    the same way; an in-place operation writes into the array itself."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if out is not None:
+            kwargs["out"] = tuple(array.view(np.ndarray) for array in out)
+        result = getattr(ufunc, method)(*map(_zeroed, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        if isinstance(result, np.ndarray) and result.dtype == np.float64:
+            return result.view(_KernelReads)
+        return result
+
+
+def _as_kernel_reads(*arrays):
+    """Views of arrays on which numpy reads operands as the kernel does:
+    under denormals-are-zero where the kernel flushes, plainly elsewhere.
+    Index them with slices: a single element is a numpy scalar, which
+    reads plainly."""
+    if not _KERNEL_FLUSHES:
+        return arrays
+    return [array.view(_KernelReads) for array in arrays]
+
+
 def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
     """Tridiagonal system for the new interior velocities, written into
-    work.sub/diag/sup/rhs by the C kernel or by numpy (the same bits until
-    a subnormal appears; the x86-64 kernel flushes it, numpy does not).
+    work.sub/diag/sup/rhs by the C kernel or by numpy (the same bits but
+    for subnormal results, which the x86-64 kernel flushes).
 
     The implicit operator is the centred discretisation of
     h u_t - d/dx((h^3/3) du_t/dx), expanded so that row i reads
@@ -107,6 +156,7 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
 def _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work):
     """assemble_momentum_system(...) by numpy, in _step.c's order of
     operations."""
+    h, u, u_prev = _as_kernel_reads(h, u, u_prev)
     c = slice(ng, -ng)
     hc, uc, upc = h[c], u[c], u_prev[c]
     up, um = u[ng + 1:-ng + 1], u[ng - 1:-ng - 1]
@@ -126,14 +176,17 @@ def _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work):
          + ((upp1 - upc * 2.0) + upm1) * h3_3 / dx ** 2)
     p = h2hx / (2.0 * dx)
     q = h3 / (3.0 * dx ** 2)
-    sub, diag, sup, rhs = work.sub, work.diag, work.sup, work.rhs
+    sub, diag, sup, rhs = _as_kernel_reads(work.sub, work.diag, work.sup,
+                                           work.rhs)
     sub[:] = p - q
     diag[:] = h3 * 2.0 / (3.0 * dx ** 2) + hc
     sup[:] = -p - q
     rhs[:] = -y
-    # fold the Dirichlet ghost velocities into the right-hand side
-    rhs[0] -= sub[0] * u[ng - 1]
-    rhs[-1] -= sup[-1] * u[-ng]
+    # fold the Dirichlet ghost velocities u[ng - 1] and u[-ng] into the
+    # right-hand side
+    last = len(u) - ng
+    rhs[:1] -= sub[:1] * u[ng - 1:ng]
+    rhs[-1:] -= sup[-1:] * u[last:last + 1]
     return bool((np.abs(diag) > np.abs(sub) + np.abs(sup)).all())
 
 
@@ -149,10 +202,12 @@ def solve_tridiagonal(sub, diag, sup, rhs, dominant=False):
     pivoting there (Heller 1976): _step.c's reduce_cyclic, or
     _reduce_cyclic_numpy when the kernel is unavailable.  Any other system
     goes through LAPACK dgtsv, Gaussian elimination with partial pivoting:
-    its C transcription in _step.c, or SciPy's LAPACK.  Either way both
-    paths give the same bits until a subnormal appears; the x86-64 kernel
-    flushes it, the numpy fallback does not, so that a subnormal pivot is
-    a zero pivot there.  A system of fewer than 2 rows raises ValueError;
+    its C transcription in _step.c, or SciPy's LAPACK.  The reduction
+    gives the same bits on both paths but for subnormal results, which
+    the x86-64 kernel flushes (the numpy one reads operands as the kernel
+    does).  dgtsv gives them until a subnormal appears, which SciPy keeps
+    and the x86-64 kernel flushes, so that a subnormal pivot is a zero
+    pivot there.  A system of fewer than 2 rows raises ValueError;
     an exactly singular matrix (a zero pivot of dgtsv) raises SolverError.
     The reduction has no such check: a system passed as dominant that is
     not may give infinities or NaN.
@@ -177,7 +232,7 @@ def _reduce_cyclic_numpy(sub, diag, sup, rhs):
     """solve_tridiagonal(..., dominant=True) by numpy: _step.c's
     reduce_cyclic, each level on strided views in its order of
     operations."""
-    a, b, c, d = sub, diag, sup, rhs
+    a, b, c, d = _as_kernel_reads(sub, diag, sup, rhs)
     s = 1
     while 2 * s - 1 < len(d):
         # rows 2s-1, 4s-1, ... and their neighbours s-1, 3s-1, ...: row t
@@ -193,7 +248,7 @@ def _reduce_cyclic_numpy(sub, diag, sup, rhs):
         ai[:] = -(f * an[:m])
         ci[:k] = -(g * cn[1:])
         s *= 2
-    d[s - 1] /= b[s - 1]
+    d[s - 1:s] /= b[s - 1:s]
     while s > 1:
         s //= 2
         # rows s-1, 3s-1, ... from the solved rows 2s-1, 4s-1, ...
@@ -202,7 +257,7 @@ def _reduce_cyclic_numpy(sub, diag, sup, rhs):
         dj[1:] -= aj[1:] * x[:len(dj) - 1]
         dj[:len(x)] -= cj[:len(x)] * x
         dj /= bj
-    return d
+    return rhs
 
 
 def _gtsv_lapack(sub, diag, sup, rhs):
@@ -219,6 +274,7 @@ def _gtsv_lapack(sub, diag, sup, rhs):
 def _leapfrog_numpy(h, u, h_prev, dx, dt, ng, work):
     """The depths of mass_update_leapfrog by numpy, in _step.c's order of
     operations, into work.h_next."""
+    h, u, h_prev = _as_kernel_reads(h, u, h_prev)
     c = slice(ng, -ng)
     a = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) * u[c] / dx
     b = (u[ng + 1:-ng + 1] - u[ng - 1:-ng - 1]) * h[c] / dx
@@ -229,6 +285,7 @@ def _leapfrog_numpy(h, u, h_prev, dx, dt, ng, work):
 def _lax_wendroff_numpy(h, u, un1, dx, dt, ng, work):
     """The depths of mass_update_lax_wendroff by numpy, in _step.c's order
     of operations, into work.h_next; un1 is the new velocity with ghosts."""
+    h, u, un1 = _as_kernel_reads(h, u, un1)
     # faces i+1/2, i = ng-1 .. n+ng-1: right (r) and left (l) neighbours
     h_r, h_l = h[ng:-ng + 1], h[ng - 1:-ng]
     u_r, u_l = u[ng:-ng + 1], u[ng - 1:-ng]

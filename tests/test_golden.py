@@ -7,10 +7,13 @@ velocity profiles and the step log's min_h, max_abs_u and diag_dominant
 columns with `np.array_equal`.
 
 The file holds the bits of the x86-64 compiled kernel, which flushes
-subnormals to zero.  A run that keeps gradual underflow (the numpy
-fallback, or the kernel elsewhere) gives the same bits until a subnormal
-appears: here only the alpha = 0.4 velocities differ, in far-field cells,
-by at most UNDERFLOW_DRIFT.
+subnormals to zero.  On x86-64 the numpy fallback reads every operand as
+the kernel does but keeps its subnormal results, so its alpha = 0.4
+velocities hold a subnormal where the file holds a zero.  A run that
+keeps gradual underflow throughout (the kernel and numpy elsewhere)
+gives the same bits until a subnormal appears.  On either path that
+writes subnormals, the alpha = 0.4 velocities may differ, in far-field
+cells, by at most UNDERFLOW_DRIFT.
 
 The reference file is written by this module's main block:
 
@@ -59,7 +62,7 @@ def case_key(alpha, scheme, name):
 
 def agrees(golden, alpha, scheme, name, value):
     """Whether one array of a golden case, run on this process's path, is
-    the file's, bit for bit.  On a path that keeps subnormals (the numpy
+    the file's, bit for bit.  On a path that writes subnormals (the numpy
     fallback, or the kernel off x86-64), the alpha = 0.4 velocities may
     instead differ by at most UNDERFLOW_DRIFT."""
     want = golden[case_key(alpha, scheme, name)]

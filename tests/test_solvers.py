@@ -905,6 +905,20 @@ def kernel_outputs(kernel, cells, system):
     return out, (dominant, info)
 
 
+def numpy_outputs(cells, system):
+    """kernel_outputs(...) by the numpy layers, without the pivoting
+    solve, which SciPy does: ({name: array}, dominant)."""
+    h, u, w = cells
+    work = solvers.Workspace(len(h) - 4, 2)
+    dominant = solvers._assemble_numpy(h, u, w, 0.3, 0.7, 9.81, 2, work)
+    out = {row: getattr(work, row).copy() for row in ROWS}
+    out["x_reduced"] = solvers._reduce_cyclic_numpy(*made_dominant(system))
+    for name, reference in (("leapfrog", solvers._leapfrog_numpy),
+                            ("lax_wendroff", solvers._lax_wendroff_numpy)):
+        out[name] = reference(h, u, w, 0.3, 0.7, 2, work).copy()
+    return out, dominant
+
+
 def keeps_gradual_underflow():
     """Whether this thread's arithmetic still keeps subnormals: neither
     flush-to-zero nor denormals-are-zero is set.  Bits are compared, since
@@ -946,6 +960,25 @@ class TestFlush:
             del out["x"]  # rows left as they came in
         for name, value in out.items():
             assert not subnormal(value).any(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_numpy_layers_read_as_the_kernel(self, kernel, n, seed):
+        # the numpy layers read a subnormal operand as a zero of its sign
+        # and keep their subnormal results, so that with those written as
+        # zeros they give the kernel's bits; SciPy's dgtsv reads subnormals
+        # as they are, so its solve is left out
+        rng = np.random.default_rng(seed)
+        cells, system = underflowing(rng, (3, n + 4)), underflowing(
+            rng, (4, n))
+        out, (dominant, _) = kernel_outputs(kernel, cells, system)
+        del out["x"]
+        got, got_dominant = numpy_outputs(cells, system)
+        assert got_dominant == dominant
+        assert sorted(got) == sorted(out)
+        for name, value in got.items():
+            assert np.array_equal(flush(value).view(np.int64),
+                                  out[name].view(np.int64)), name
 
     def test_golden_steep_cases_underflow_on_numpy_path_only(
             self, kernel, monkeypatch):
