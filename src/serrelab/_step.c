@@ -4,9 +4,10 @@
  * (D) and Lax-Wendroff (E) mass updates.
  *
  * Each function repeats its numpy (or LAPACK) counterpart term by term,
- * in its order of operations, with the same constants, divided as numpy
- * divides them, so that the results are bit-identical to it but for
- * subnormals.  On x86-64 the numpy layers read a subnormal operand as
+ * in its order of operations, with the same constants: where a loop
+ * divides by a per-call constant, both multiply by the same reciprocal,
+ * computed once per call.  So the results are bit-identical to it but
+ * for subnormals.  On x86-64 the numpy layers read a subnormal operand as
  * this kernel does, as a zero of its sign, and keep the subnormal results
  * that it flushes; SciPy's dgtsv reads subnormals as they are.  That holds
  * only when the compiler keeps each multiply and add apart: build with
@@ -43,13 +44,18 @@
  * rhs hold the n interior rows.  Returns 1 when every row is strictly
  * diagonally dominant, |diag| > |sub| + |sup|, and 0 otherwise (a NaN
  * fails the comparison, as in numpy).
+ *
+ * The grid enters through the four reciprocals 1/(2 dx), 1/dx^2,
+ * 1/(2 dx^3) and 1/(3 dx^2), which the caller computes once per call:
+ * the loop multiplies where it would divide, since division throughput
+ * bounds it otherwise.
  */
 int assemble_momentum(const double *restrict h, const double *restrict u,
                       const double *restrict u_prev, double *restrict sub,
                       double *restrict diag, double *restrict sup,
                       double *restrict rhs, ptrdiff_t n, ptrdiff_t ng,
-                      double g, double two_dx, double dx2, double two_dx3,
-                      double three_dx2, double two_dt)
+                      double g, double r_two_dx, double r_dx2,
+                      double r_two_dx3, double r_three_dx2, double two_dt)
 {
     FLUSH_ON();
     int dominant = 1;
@@ -61,15 +67,15 @@ int assemble_momentum(const double *restrict h, const double *restrict u,
         double up = u[i + 1], um = u[i - 1];
         double upp1 = u_prev[i + 1], upm1 = u_prev[i - 1];
 
-        double ux = (up - um) / two_dx;
-        double hx = (h[i + 1] - h[i - 1]) / two_dx;
-        double uxx = ((up - uc * 2.0) + um) / dx2;
+        double ux = (up - um) * r_two_dx;
+        double hx = (h[i + 1] - h[i - 1]) * r_two_dx;
+        double uxx = ((up - uc * 2.0) + um) * r_dx2;
         double uxxx = (((u[i + 2] - up * 2.0) + um * 2.0) - u[i - 2])
-                      / two_dx3;
+                      * r_two_dx3;
         double h2 = hc * hc;
         double h3 = h2 * hc;
         double h2hx = h2 * hx;
-        double h3_3 = h3 / 3.0;
+        double h3_3 = h3 * (1.0 / 3.0);
 
         double x = uc * hc * ux;
         x += hc * g * hx;
@@ -80,12 +86,12 @@ int assemble_momentum(const double *restrict h, const double *restrict u,
 
         double y = x * two_dt;
         y -= hc * upc;
-        y += (upp1 - upm1) * h2hx / two_dx;
-        y += ((upp1 - upc * 2.0) + upm1) * h3_3 / dx2;
+        y += (upp1 - upm1) * h2hx * r_two_dx;
+        y += ((upp1 - upc * 2.0) + upm1) * h3_3 * r_dx2;
 
-        double p = h2hx / two_dx;
-        double q = h3 / three_dx2;
-        double s = p - q, d = h3 * 2.0 / three_dx2 + hc, t = -p - q;
+        double p = h2hx * r_two_dx;
+        double q = h3 * r_three_dx2;
+        double s = p - q, d = h3 * 2.0 * r_three_dx2 + hc, t = -p - q;
         sub[i] = s;
         diag[i] = d;
         sup[i] = t;
@@ -233,19 +239,21 @@ void reduce_cyclic(ptrdiff_t n, double *restrict a, double *restrict b,
 
 /* solvers.mass_update_leapfrog: with c the interior cells of h, u and
  * h_prev (n + 2 ng each), h_next[i] = h_prev[c] - dt (u[c] (h[c+1] -
- * h[c-1]) / dx + h[c] (u[c+1] - u[c-1]) / dx), in numpy's order.
+ * h[c-1]) / dx + h[c] (u[c+1] - u[c-1]) / dx), in numpy's order, each
+ * product multiplied by 1 / dx, which is divided once per call.
  */
 void mass_leapfrog(const double *restrict h, const double *restrict u,
                    const double *restrict h_prev, double *restrict h_next,
                    ptrdiff_t n, ptrdiff_t ng, double dx, double dt)
 {
+    const double r_dx = 1.0 / dx;
     FLUSH_ON();
     h += ng;
     u += ng;
     h_prev += ng;
     for (ptrdiff_t i = 0; i < n; i++) {
-        double a = (h[i + 1] - h[i - 1]) * u[i] / dx;
-        double b = (u[i + 1] - u[i - 1]) * h[i] / dx;
+        double a = (h[i + 1] - h[i - 1]) * u[i] * r_dx;
+        double b = (u[i + 1] - u[i - 1]) * h[i] * r_dx;
         h_next[i] = h_prev[i] - (a + b) * dt;
     }
     FLUSH_OFF();

@@ -123,7 +123,8 @@ def totals(snapshot: Snapshot, g: float = 9.81):
 
 
 def conservation_error(totals_0, snapshot: Snapshot, g: float, totals_t):
-    """Relative conservation errors of `totals_t` vs the initial totals.
+    """Conservation errors of `totals_t` vs the initial totals: C1_h and
+    C1_H relative, C1_uh absolute.
 
     Momentum uses the absolute, boundary-flux-corrected form (its initial
     total is zero); boundary depths are taken from the outermost interior

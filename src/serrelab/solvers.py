@@ -153,33 +153,41 @@ def assemble_momentum_system(h, u, u_prev, dx, dt, g, ng, work):
     return _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work)
 
 
+def _reciprocals(dx):
+    """1/(2 dx), 1/dx^2, 1/(2 dx^3) and 1/(3 dx^2): the assembly's grid
+    factors, which both paths multiply by where the scheme divides."""
+    return (1.0 / (2.0 * dx), 1.0 / dx ** 2, 1.0 / (2.0 * dx ** 3),
+            1.0 / (3.0 * dx ** 2))
+
+
 def _assemble_numpy(h, u, u_prev, dx, dt, g, ng, work):
     """assemble_momentum_system(...) by numpy, in _step.c's order of
     operations."""
+    r_two_dx, r_dx2, r_two_dx3, r_three_dx2 = _reciprocals(dx)
     h, u, u_prev = _as_kernel_reads(h, u, u_prev)
     c = slice(ng, -ng)
     hc, uc, upc = h[c], u[c], u_prev[c]
     up, um = u[ng + 1:-ng + 1], u[ng - 1:-ng - 1]
     upp1, upm1 = u_prev[ng + 1:-ng + 1], u_prev[ng - 1:-ng - 1]
-    ux = (up - um) / (2.0 * dx)
-    hx = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) / (2.0 * dx)
-    uxx = ((up - uc * 2.0) + um) / dx ** 2
+    ux = (up - um) * r_two_dx
+    hx = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) * r_two_dx
+    uxx = ((up - uc * 2.0) + um) * r_dx2
     uxxx = ((((u[ng + 2:] - up * 2.0) + um * 2.0) - u[ng - 2:-ng - 2])
-            / (2.0 * dx ** 3))
+            * r_two_dx3)
     h2 = hc * hc
     h3 = h2 * hc
     h2hx = h2 * hx
-    h3_3 = h3 / 3.0
+    h3_3 = h3 * (1.0 / 3.0)
     x = (uc * hc * ux + hc * g * hx + h2hx * ux * ux + h3_3 * ux * uxx
          - h2hx * uc * uxx - h3_3 * uc * uxxx)
-    y = (x * (2.0 * dt) - hc * upc + (upp1 - upm1) * h2hx / (2.0 * dx)
-         + ((upp1 - upc * 2.0) + upm1) * h3_3 / dx ** 2)
-    p = h2hx / (2.0 * dx)
-    q = h3 / (3.0 * dx ** 2)
+    y = (x * (2.0 * dt) - hc * upc + (upp1 - upm1) * h2hx * r_two_dx
+         + ((upp1 - upc * 2.0) + upm1) * h3_3 * r_dx2)
+    p = h2hx * r_two_dx
+    q = h3 * r_three_dx2
     sub, diag, sup, rhs = _as_kernel_reads(work.sub, work.diag, work.sup,
                                            work.rhs)
     sub[:] = p - q
-    diag[:] = h3 * 2.0 / (3.0 * dx ** 2) + hc
+    diag[:] = h3 * 2.0 * r_three_dx2 + hc
     sup[:] = -p - q
     rhs[:] = -y
     # fold the Dirichlet ghost velocities u[ng - 1] and u[-ng] into the
@@ -274,10 +282,11 @@ def _gtsv_lapack(sub, diag, sup, rhs):
 def _leapfrog_numpy(h, u, h_prev, dx, dt, ng, work):
     """The depths of mass_update_leapfrog by numpy, in _step.c's order of
     operations, into work.h_next."""
+    r_dx = 1.0 / dx
     h, u, h_prev = _as_kernel_reads(h, u, h_prev)
     c = slice(ng, -ng)
-    a = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) * u[c] / dx
-    b = (u[ng + 1:-ng + 1] - u[ng - 1:-ng - 1]) * h[c] / dx
+    a = (h[ng + 1:-ng + 1] - h[ng - 1:-ng - 1]) * u[c] * r_dx
+    b = (u[ng + 1:-ng + 1] - u[ng - 1:-ng - 1]) * h[c] * r_dx
     work.h_next[:] = h_prev[c] - (a + b) * dt
     return work.h_next
 
@@ -319,7 +328,7 @@ def _assemble_with_kernel(kernel, h, u, u_prev, dx, dt, g, ng, work):
     return bool(kernel.assemble_momentum(
         *_pointers(n + 2 * ng, h, u, u_prev), work.sub.ctypes.data,
         work.diag.ctypes.data, work.sup.ctypes.data, work.rhs.ctypes.data,
-        n, ng, g, 2.0 * dx, dx ** 2, 2.0 * dx ** 3, 3.0 * dx ** 2, 2.0 * dt))
+        n, ng, g, *_reciprocals(dx), 2.0 * dt))
 
 
 def _gtsv_with_kernel(kernel, sub, diag, sup, rhs):
@@ -376,7 +385,9 @@ def _kernel_agrees(kernel) -> bool:
     a diagonally dominant system (against _reduce_cyclic_numpy), dgtsv on
     one that pivots (against SciPy's), and both mass updates.  The values
     are seeded-random and dt is large, so that every term reaches the last
-    bits: a smooth state with a small dt hides a reordered product.  exp
+    bits: a smooth state with a small dt hides a reordered product.  The
+    assembly runs once more at a small dt, since at the large one x 2 dt
+    swamps the other terms of its right-hand side.  exp
     and sinh spread the values over several binades; uniform draws share
     one binary grid, on which most sums are exact whatever their order.
     Last, the formatter must write Python's "%.17g" bytes (see
@@ -387,13 +398,14 @@ def _kernel_agrees(kernel) -> bool:
     h, h_prev = np.exp(rng.uniform(-1.0, 1.0, (2, n + 2 * ng)))
     u, u_prev = np.sinh(rng.uniform(-2.0, 2.0, (2, n + 2 * ng)))
     expected, got = Workspace(n, ng), Workspace(n, ng)
-    args = (h, u, u_prev, 0.3, 0.7, 9.81, ng)
     rows = ("sub", "diag", "sup", "rhs")
-    if not (_assemble_numpy(*args, expected)
-            == _assemble_with_kernel(kernel, *args, got) and all(
-                _same_bits(getattr(expected, r), getattr(got, r))
-                for r in rows)):
-        return False
+    for dt in (0.7, 1e-3):
+        args = (h, u, u_prev, 0.3, dt, 9.81, ng)
+        if not (_assemble_numpy(*args, expected)
+                == _assemble_with_kernel(kernel, *args, got) and all(
+                    _same_bits(getattr(expected, r), getattr(got, r))
+                    for r in rows)):
+            return False
     # |diag| > 2 > |sub| + |sup| is strictly dominant; about half the rows
     # of the random system pivot
     pivoting = np.tanh(rng.uniform(-2.0, 2.0, (4, n)))

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 import types
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -45,6 +46,42 @@ def assert_backward_stable(chosen, h, u, u_prev, dx, dt):
     bound = 8 * np.finfo(np.float64).eps * (size.max() + np.abs(rhs).max())
     assert np.abs(resid).max() <= bound, (chosen, dominant)
     return dominant
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2, exactly: the bound
+    on |theta| for a product of k factors (1 + delta)^(+-1), |delta| <= u,
+    the relative error of k roundings."""
+    unit = Fraction(1, 2 ** 53)
+    return k * unit / (1 - k * unit)
+
+
+def assert_coefficients_near_exact(work, h, dx):
+    """Assert that the sub, diag and sup rows assembled into work from
+    depths h (ghosts included) are within rounding of their exact values
+    at the same doubles h and dx, evaluated in Fractions:
+    sub = p - q, diag = h + 2 q, sup = -p - q, with
+    p = h^2 h_x / (2 dx), h_x = (h[i+1] - h[i-1]) / (2 dx), q = h^3 / (3 dx^2).
+
+    The bound counts the roundings of each factor, in _step.c's order:
+    2 dx and h3 * 2.0 are exact; dx ** 2 is pow(), within 1 ulp, so two
+    roundings.  p takes 1/(2 dx) twice (one rounding each), the
+    difference, the multiplication into h_x, h^2, h^2 h_x and the last
+    product: 7.  q takes h^2, h^3, 1/(3 dx^2) (pow, 3 dx^2, the division:
+    4) and the product: 7.  sub and sup round once more, so |error| <=
+    gamma_8 (|p| + |q|).  diag is h^3 * 2 * 1/(3 dx^2) (7 roundings) plus
+    h, both positive, rounded once: |error| <= gamma_8 diag.  That is
+    k eps with k = 4, to first order."""
+    ng = 2
+    dx = Fraction(dx)
+    for i, (s, d, t) in enumerate(zip(work.sub, work.diag, work.sup)):
+        hc, hp, hm = (Fraction(h[i + ng + j]) for j in (0, 1, -1))
+        p = hc * hc * ((hp - hm) / (2 * dx)) / (2 * dx)
+        q = hc ** 3 / (3 * dx * dx)
+        diag = hc + 2 * q
+        assert abs(Fraction(s) - (p - q)) <= gamma(8) * (abs(p) + abs(q)), i
+        assert abs(Fraction(t) - (-p - q)) <= gamma(8) * (abs(p) + abs(q)), i
+        assert abs(Fraction(d) - diag) <= gamma(8) * diag, i
 
 
 def small_config(**kw):
@@ -586,6 +623,20 @@ class TestAssemblyKernel:
             assert np.array_equal(getattr(got, row).view(np.int64),
                                   getattr(expected, row).view(np.int64)), row
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), dx=st.floats(0.01, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_coefficients_near_exact(self, kernel, n, dx, seed):
+        # depths over e^-3 .. e^3, so that h_x takes either sign and
+        # nothing leaves the normal range
+        rng = np.random.default_rng(seed)
+        h = np.exp(rng.uniform(-3.0, 3.0, n + 4))
+        u, u_prev = rng.uniform(-2.0, 2.0, (2, n + 4))
+        expected, _, got, _ = both_assemblies(kernel, h, u, u_prev, dx,
+                                              0.01 * dx)
+        for work in (expected, got):
+            assert_coefficients_near_exact(work, h, dx)
+
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 300), data=st.data())
     def test_nan_depth_clears_the_flag(self, kernel, n, data):
@@ -1052,6 +1103,19 @@ def variant_refused(cache, tmp_path, monkeypatch, name, original, variant):
             and list(cache.iterdir()) == [])
 
 
+def native_fma():
+    """Whether c++ -march=native may emit fused multiply-adds: it defines
+    __FMA__ (x86) or __ARM_FEATURE_FMA (Arm) for this CPU."""
+    if shutil.which("c++") is None:
+        return False
+    done = subprocess.run(
+        ["c++", "-march=native", "-dM", "-E", "-x", "c", os.devnull],
+        capture_output=True, text=True, timeout=60)
+    return done.returncode == 0 and any(
+        f"#define {macro} " in done.stdout
+        for macro in ("__FMA__", "__ARM_FEATURE_FMA"))
+
+
 @pytest.mark.skipif(shutil.which("c++") is None, reason="no c++ on PATH")
 class TestKernelBuild:
     @pytest.fixture
@@ -1107,15 +1171,17 @@ class TestKernelBuild:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
         assert solvers._load_kernel() is None
 
-    # one reordered operation in each of the two solves and the mass
-    # updates
+    # one reordered operation in each of the two solves, the mass updates
+    # and the assembly
     @pytest.mark.parametrize("original, reordered", [
+        ("(upp1 - upm1) * h2hx * r_two_dx",
+         "(upp1 - upm1) * (h2hx * r_two_dx)"),
         ("(b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2])",
          "(b[i] - (du[i] * b[i + 1] + dl[i] * b[i + 2]))"),
         ("b[i] - f * c[i - s] - g * a[i + s]",
          "b[i] - (f * c[i - s] + g * a[i + s])"),
-        ("(h[i + 1] - h[i - 1]) * u[i] / dx",
-         "(h[i + 1] - h[i - 1]) * (u[i] / dx)"),
+        ("(h[i + 1] - h[i - 1]) * u[i] * r_dx",
+         "(h[i + 1] - h[i - 1]) * (u[i] * r_dx)"),
         ("(u_next[i] + u_r + u_next[i - 1] + u_l)",
          "(u_next[i] + u_next[i - 1] + u_r + u_l)"),
     ])
@@ -1149,6 +1215,23 @@ class TestKernelBuild:
                 solvers._format_with_kernel(kernel, block, buf[:cap])
         buf = np.empty(len(full), np.uint8)
         assert bytes(solvers._format_with_kernel(kernel, block, buf)) == full
+
+    @pytest.mark.skipif(not native_fma(), reason="the CPU has no FMA")
+    def test_contracted_build_refused(self, cache, monkeypatch):
+        # a compiler allowed to contract a * b + c into one fused
+        # multiply-add rounds once where numpy rounds twice
+        contracted = tuple(
+            "-ffp-contract=fast" if flag == "-ffp-contract=off" else flag
+            for flag in solvers._KERNEL_FLAGS)
+        assert contracted != solvers._KERNEL_FLAGS
+        monkeypatch.setattr(solvers, "_KERNEL_FLAGS", contracted)
+        checks = []
+        agrees = solvers._kernel_agrees
+        monkeypatch.setattr(solvers, "_kernel_agrees",
+                            lambda kernel: checks.append(agrees(kernel)))
+        assert solvers._load_kernel() is None
+        assert checks == [False]
+        assert list(cache.iterdir()) == []
 
     def test_kernel_path_never_loads_scipy(self, kernel, kernel_cache):
         # the cache is warm, so no build (and no self-check) runs
